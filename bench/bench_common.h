@@ -3,7 +3,7 @@
 // Every harness loads the same cached corpus (built on first use) and the
 // training budget from the environment, so `QUGEO_SAMPLES=500 QUGEO_TRAIN=400
 // QUGEO_EPOCHS=500 ./bench_fig8_decoders` reproduces the paper-scale run
-// recorded in EXPERIMENTS.md while the default stays minutes-fast.
+// (README.md, "Benchmarks") while the default stays minutes-fast.
 #pragma once
 
 #include <cstdint>

@@ -2,10 +2,12 @@
 // full QuGeoVQC ansatz execution, adjoint gradients, encoder synthesis —
 // the quantities behind the QuBatch complexity argument (Sec. 3.3.3).
 //
-// The binary doubles as the CI perf gate for gradient-plan fusion: after
-// the benchmark run, main() re-times the frozen-heavy adjoint gradient
-// with and without the plan and exits non-zero below 1.3x — the speedup
-// the fused training path is built to deliver on frozen-heavy shapes.
+// The binary doubles as two CI perf gates. After the benchmark run, main()
+// re-times the frozen-heavy adjoint gradient with and without the
+// gradient plan and exits non-zero below 1.3x — the speedup the fused
+// training path is built to deliver on frozen-heavy shapes. It then times
+// the paper ansatz's full gradient against its forward replay and exits
+// non-zero above 6x — the cost bound of the one-sweep adjoint.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -286,10 +288,67 @@ int adjoint_fusion_guard() {
   return 0;
 }
 
+/// CI perf gate: one full gradient (forward + adjoint sweep) of the 8-qubit,
+/// 12-block paper ansatz must cost <= 6x a forward replay of the same
+/// circuit. Both sides are timed best-of-R in this process, so the ratio
+/// does not depend on the host's speed.
+int adjoint_sweep_guard() {
+  using clock = std::chrono::steady_clock;
+  const core::QubitLayout layout({8}, 0);
+  const qsim::Circuit c = build_qugeo_ansatz(layout, core::AnsatzConfig{});
+  std::vector<Real> params(c.num_params());
+  Rng rng(23);
+  rng.fill_uniform(params, -1, 1);
+  std::vector<Real> g(256);
+  rng.fill_uniform(g, -1, 1);
+
+  constexpr int kReps = 5;
+  constexpr int kIters = 60;
+  constexpr double kMaxRatio = 6.0;
+  const auto best_of = [&](bool with_adjoint) {
+    double best = 1e300;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto t0 = clock::now();
+      for (int it = 0; it < kIters; ++it) {
+        qsim::StateVector psi(8);
+        qsim::run_circuit(c, params, psi);
+        if (with_adjoint) {
+          const auto cot = qsim::cotangent_from_probability_grads(psi, g);
+          const auto adj =
+              qsim::adjoint_backward(c, params, std::move(psi), cot);
+          benchmark::DoNotOptimize(adj.param_grads.data());
+        } else {
+          benchmark::DoNotOptimize(psi.amplitudes().data());
+        }
+      }
+      const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
+      best = std::min(best, dt.count());
+    }
+    return best;
+  };
+
+  best_of(true);  // warm caches/pages before the measured passes
+  const double forward_ms = best_of(false);
+  const double gradient_ms = best_of(true);
+  const double ratio = gradient_ms / forward_ms;
+  std::printf(
+      "adjoint sweep guard: paper 8q/12-block ansatz (%zu params), forward "
+      "%.3f ms, forward+adjoint %.3f ms (%.2fx, need <= %.1fx)\n",
+      c.num_params(), forward_ms, gradient_ms, ratio, kMaxRatio);
+  if (ratio > kMaxRatio) {
+    std::fprintf(stderr, "adjoint sweep guard FAILED: %.2fx > allowed %.1fx\n",
+                 ratio, kMaxRatio);
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const int rc = qugeo::bench::run_micro_benchmarks(argc, argv);
   if (rc != 0) return rc;
-  return adjoint_fusion_guard();
+  const int fusion = adjoint_fusion_guard();
+  const int sweep = adjoint_sweep_guard();
+  return fusion != 0 ? fusion : sweep;
 }

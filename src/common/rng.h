@@ -2,7 +2,7 @@
 //
 // All stochastic components (dataset synthesis, parameter initialization,
 // shuffling, noise trajectories) draw from an explicitly seeded Rng so every
-// table and figure in EXPERIMENTS.md regenerates bit-identically.
+// table and figure the bench/ harnesses print regenerates bit-identically.
 #pragma once
 
 #include <cstdint>

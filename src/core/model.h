@@ -102,7 +102,7 @@ class QuGeoModel {
 
   /// As predict, but through an explicit ExecutionConfig instead of the
   /// model's configured one — the one-off form the shot/noise ablations
-  /// use (core/shot_readout delegates here).
+  /// use.
   [[nodiscard]] std::vector<std::vector<Real>> predict_with(
       std::span<const data::ScaledSample* const> samples,
       const qsim::ExecutionConfig& exec) const;

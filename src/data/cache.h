@@ -5,7 +5,7 @@
 // cached as binary tensors; every bench then loads in milliseconds. Scale
 // knobs can be overridden via environment variables (QUGEO_SAMPLES,
 // QUGEO_TRAIN, QUGEO_EPOCHS, QUGEO_SEED) to move between the fast default
-// and the paper-scale setup recorded in EXPERIMENTS.md.
+// and the paper-scale setup (README.md, "Benchmarks": the paper scale run).
 #pragma once
 
 #include <filesystem>

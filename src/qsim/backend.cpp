@@ -418,8 +418,8 @@ std::vector<Real> ShotBackend::probabilities() const {
     return exact;
   }
   // Prefix sums in index order — the same accumulation
-  // StateVector::cumulative_probabilities performs, so the shot_readout
-  // wrappers sample a bit-identical CDF.
+  // StateVector::cumulative_probabilities performs, so sampling a state's
+  // own CDF and sampling through this backend see a bit-identical CDF.
   Real acc = 0;
   for (Real& p : exact) {
     acc += p;

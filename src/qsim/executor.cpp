@@ -1,6 +1,5 @@
 #include "qsim/executor.h"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "common/math_utils.h"
@@ -34,50 +33,6 @@ void apply_block(GateKind kind, const Mat2& u, const std::array<Index, 2>& qubit
         psi.apply_1q(u, qubits[0]);
       return;
   }
-}
-
-/// <lambda| (dU on qubit q) |psi> accumulated directly over the affected
-/// index pairs — no scratch state, no full-vector copy.
-Complex pair_inner_1q(std::span<const Complex> lambda,
-                      std::span<const Complex> psi, const Mat2& du, Index q) {
-  assert(lambda.size() == psi.size());
-  const Index stride = Index{1} << q;
-  const Index half = psi.size() / 2;
-  const Complex d00 = du(0, 0), d01 = du(0, 1), d10 = du(1, 0), d11 = du(1, 1);
-  Complex s{0, 0};
-  for (Index j = 0; j < half; ++j) {
-    const Index i0 = insert_zero_bit(j, q);
-    const Index i1 = i0 | stride;
-    const Complex p0 = psi[i0];
-    const Complex p1 = psi[i1];
-    s += cmul_conj(lambda[i0], cmul(d00, p0) + cmul(d01, p1));
-    s += cmul_conj(lambda[i1], cmul(d10, p0) + cmul(d11, p1));
-  }
-  return s;
-}
-
-/// As pair_inner_1q, but for the derivative of a controlled gate: the
-/// control=|0> block of dU is zero, so only control-set pairs contribute.
-Complex pair_inner_controlled_1q(std::span<const Complex> lambda,
-                                 std::span<const Complex> psi, const Mat2& du,
-                                 Index control, Index target) {
-  assert(lambda.size() == psi.size());
-  const Index cmask = Index{1} << control;
-  const Index tmask = Index{1} << target;
-  const Index lo = control < target ? control : target;
-  const Index hi = control < target ? target : control;
-  const Index quarter = psi.size() / 4;
-  const Complex d00 = du(0, 0), d01 = du(0, 1), d10 = du(1, 0), d11 = du(1, 1);
-  Complex s{0, 0};
-  for (Index j = 0; j < quarter; ++j) {
-    const Index i0 = insert_two_zero_bits(j, lo, hi) | cmask;
-    const Index i1 = i0 | tmask;
-    const Complex p0 = psi[i0];
-    const Complex p1 = psi[i1];
-    s += cmul_conj(lambda[i0], cmul(d00, p0) + cmul(d01, p1));
-    s += cmul_conj(lambda[i1], cmul(d10, p0) + cmul(d11, p1));
-  }
-  return s;
 }
 
 /// Execute a fused op whose Mat4 was resolved by the caller: the dense
@@ -177,33 +132,33 @@ AdjointResult adjoint_backward(const Circuit& circuit,
       apply_fused(op.kind, ud, op.qubits[0], op.qubits[1], lambda);
       continue;
     }
-    // psi_out currently equals psi after op i; rewind to psi before op i.
-    apply_op_inverse(op, params, psi_out);
-
-    // Accumulate parameter gradients: dL/dtheta = 2 Re <lambda_i| dU |psi_{i-1}>,
-    // evaluated in place over the index pairs the gate touches.
     const bool has_trainable = op.param_ids[0] != kLiteralParam ||
                                op.param_ids[1] != kLiteralParam ||
                                op.param_ids[2] != kLiteralParam;
-    if (has_trainable) {
-      const auto vals = Circuit::resolve_params(op, params);
-      for (int slot = 0; slot < 3; ++slot) {
-        const std::uint32_t pid = op.param_ids[static_cast<std::size_t>(slot)];
-        if (pid == kLiteralParam) continue;
-        const Mat2 du = gate_matrix_deriv(op.kind, vals, slot);
-        const Complex ip =
-            gate_is_controlled_1q(op.kind)
-                ? pair_inner_controlled_1q(lambda.amplitudes(),
-                                           psi_out.amplitudes(), du,
-                                           op.qubits[0], op.qubits[1])
-                : pair_inner_1q(lambda.amplitudes(), psi_out.amplitudes(), du,
-                                op.qubits[0]);
-        result.param_grads[pid] += 2 * ip.real();
-      }
+    if (!has_trainable) {
+      // psi_out currently equals psi after op i; rewind both states by U^dagger.
+      apply_op_inverse(op, params, psi_out);
+      apply_op_inverse(op, params, lambda);
+      continue;
     }
-
-    // Propagate the cotangent: lambda_{i-1} = U_i^dagger lambda_i.
-    apply_op_inverse(op, params, lambda);
+    // One sweep rewinds psi and lambda and collects their pair correlation
+    // G; each slot's dL/dtheta = 2 Re <lambda_i| dU |psi_{i-1}> is then
+    // 2 Re sum_ab dU_ab G_ab, with U and every dU from one trig evaluation.
+    const GateDerivs d =
+        gate_matrix_and_derivs(op.kind, Circuit::resolve_params(op, params));
+    const Mat2 ud = dagger(d.u);
+    const Mat2 g = gate_is_controlled_1q(op.kind)
+                       ? adjoint_sweep_controlled_1q(psi_out, lambda, ud,
+                                                     op.qubits[0], op.qubits[1])
+                       : adjoint_sweep_1q(psi_out, lambda, ud, op.qubits[0]);
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+      const std::uint32_t pid = op.param_ids[slot];
+      if (pid == kLiteralParam) continue;
+      const Mat2& du = d.du[slot];
+      const Complex ip = cmul(du(0, 0), g(0, 0)) + cmul(du(0, 1), g(0, 1)) +
+                         cmul(du(1, 0), g(1, 0)) + cmul(du(1, 1), g(1, 1));
+      result.param_grads[pid] += 2 * ip.real();
+    }
   }
 
   result.input_cotangent.assign(lambda.amplitudes().begin(),

@@ -4,9 +4,12 @@
 // programs: starting from the cotangent lambda_k = dL/d(conj(psi_k)) at the
 // output, gates are un-applied one at a time; at each parameterized gate the
 // contribution dL/dtheta = 2 Re <lambda | dU/dtheta | psi_before> is
-// accumulated. Memory is O(2^n) regardless of depth, and cost is O(ops)
-// state-vector passes — the same asymptotics TorchQuantum's autograd
-// achieves, without storing intermediate states.
+// accumulated. A trainable gate costs one fused pass over the pairs it
+// touches (adjoint_sweep_1q in statevector.h): both states are rewound
+// and their 2x2 pair correlation is collected, which every parameter slot
+// then contracts with its dU. Memory is O(2^n) regardless of depth, and
+// cost is O(ops) state-vector passes — the same asymptotics TorchQuantum's
+// autograd achieves, without storing intermediate states.
 #pragma once
 
 #include <span>

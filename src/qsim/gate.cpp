@@ -274,6 +274,68 @@ Mat2 gate_matrix_deriv(GateKind kind, std::span<const Real> params,
   throw std::invalid_argument("gate_matrix_deriv: non-differentiable kind/index");
 }
 
+GateDerivs gate_matrix_and_derivs(GateKind kind, std::span<const Real> params) {
+  assert(static_cast<int>(params.size()) >= gate_param_count(kind));
+  GateDerivs d;
+  switch (kind) {
+    case GateKind::kRX: {
+      const Real c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
+      d.u = make({c, 0}, {0, -s}, {0, -s}, {c, 0});
+      d.du[0] = make({-s / 2, 0}, {0, -c / 2}, {0, -c / 2}, {-s / 2, 0});
+      return d;
+    }
+    case GateKind::kRY:
+    case GateKind::kCRY: {
+      const Real c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
+      d.u = make({c, 0}, {-s, 0}, {s, 0}, {c, 0});
+      d.du[0] = make({-s / 2, 0}, {-c / 2, 0}, {c / 2, 0}, {-s / 2, 0});
+      return d;
+    }
+    case GateKind::kRZ: {
+      const Real c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
+      d.u = make({c, -s}, {0, 0}, {0, 0}, {c, s});
+      d.du[0] = make({-s / 2, -c / 2}, {0, 0}, {0, 0}, {-s / 2, c / 2});
+      return d;
+    }
+    case GateKind::kPhase: {
+      const Complex e{std::cos(params[0]), std::sin(params[0])};
+      d.u = make({1, 0}, {0, 0}, {0, 0}, e);
+      d.du[0] = make({0, 0}, {0, 0}, {0, 0}, kI1 * e);
+      return d;
+    }
+    case GateKind::kU3:
+    case GateKind::kCU3: {
+      const Real c = std::cos(params[0] / 2), s = std::sin(params[0] / 2);
+      const Complex ephi{std::cos(params[1]), std::sin(params[1])};
+      const Complex elam{std::cos(params[2]), std::sin(params[2])};
+      const Complex eboth = ephi * elam;
+      d.u = make({c, 0}, -elam * s, ephi * s, eboth * c);
+      d.du[0] = make({-s / 2, 0}, -elam * (c / 2), ephi * (c / 2),
+                     -eboth * (s / 2));
+      d.du[1] = make({0, 0}, {0, 0}, kI1 * ephi * s, kI1 * eboth * c);
+      d.du[2] = make({0, 0}, -kI1 * elam * s, {0, 0}, kI1 * eboth * c);
+      return d;
+    }
+    case GateKind::kI:
+    case GateKind::kX:
+    case GateKind::kY:
+    case GateKind::kZ:
+    case GateKind::kH:
+    case GateKind::kS:
+    case GateKind::kSdg:
+    case GateKind::kT:
+    case GateKind::kTdg:
+    case GateKind::kCX:
+    case GateKind::kCZ:
+    case GateKind::kSWAP:
+    case GateKind::kFused2Q:
+    case GateKind::kFusedCtl2Q:
+      break;
+  }
+  d.u = gate_matrix(kind, params);  // no parameters (throws for SWAP/fused)
+  return d;
+}
+
 Mat2 dagger(const Mat2& u) noexcept {
   Mat2 d;
   d(0, 0) = std::conj(u(0, 0));

@@ -101,6 +101,21 @@ struct Mat4 {
 [[nodiscard]] Mat2 gate_matrix_deriv(GateKind kind, std::span<const Real> params,
                                      int param_index);
 
+/// A gate's 2x2 block together with its derivative with respect to each
+/// parameter (du[k] for k < gate_param_count(kind); the rest stay zero).
+struct GateDerivs {
+  Mat2 u;
+  std::array<Mat2, 3> du{};
+};
+
+/// gate_matrix and every gate_matrix_deriv slot from one evaluation of the
+/// trig (cos/sin of the half-angle, e^{i phi}, e^{i lambda}) — the form the
+/// adjoint sweep consumes. gate_matrix_deriv is its reference: they agree
+/// to rounding (e^{i(phi+lambda)} is formed as a product here), pinned by
+/// test_qsim_kernels.
+[[nodiscard]] GateDerivs gate_matrix_and_derivs(GateKind kind,
+                                                std::span<const Real> params);
+
 /// Hermitian conjugate.
 [[nodiscard]] Mat2 dagger(const Mat2& u) noexcept;
 

@@ -1,8 +1,8 @@
 // GradientPlan: the gradient-canonical form of a trainable circuit.
 //
 // The adjoint differentiation pass (executor.h: adjoint_backward) walks the
-// op stream backwards twice per op — once un-applying |psi>, once advancing
-// <lambda| — but only the TRAINABLE slots contribute a
+// op stream backwards, un-applying |psi> and advancing <lambda| at every
+// op — but only the TRAINABLE slots contribute a
 // 2 Re <lambda|dU/dtheta|psi> contraction. Every literal gate between two
 // consecutive trainable slots is pure replay work, so the plan partitions
 // the circuit at its trainable slots and collapses each literal segment

@@ -14,6 +14,7 @@
 // two products of each component contracted into one FMA.
 #include "qsim/simd_kernels.h"
 
+#include <cassert>
 #include <stdexcept>
 
 #ifdef QUGEO_WITH_AVX2_KERNELS
@@ -60,7 +61,100 @@ inline void pair_update(double* p0, double* p1, const CVec& u00,
   _mm256_storeu_pd(p1, _mm256_add_pd(cmul_vec(u10, a0), cmul_vec(u11, a1)));
 }
 
+/// Lane accumulators of the adjoint pair correlation G(a, b), index
+/// a * 2 + b. For conj(l) * r over interleaved [re im] lanes, re[] sums
+/// l * r = [lr rr, li ri] and im[] sums l * swap(r) = [lr ri, li rr]:
+/// Re G is the sum of re[]'s lanes, Im G the alternating sum of im[]'s.
+struct SweepAcc {
+  __m256d re[4];
+  __m256d im[4];
+};
+
+/// The fused adjoint step over two pairs: rewind the psi pair (p0, p1) by
+/// w, correlate it against the lambda pair (l0, l1), rewind the lambda
+/// pair by w.
+inline void adjoint_step(double* p0, double* p1, double* l0, double* l1,
+                         const CVec& w00, const CVec& w01, const CVec& w10,
+                         const CVec& w11, SweepAcc& acc) {
+  const __m256d a0 = _mm256_loadu_pd(p0);
+  const __m256d a1 = _mm256_loadu_pd(p1);
+  const __m256d r0 = _mm256_add_pd(cmul_vec(w00, a0), cmul_vec(w01, a1));
+  const __m256d r1 = _mm256_add_pd(cmul_vec(w10, a0), cmul_vec(w11, a1));
+  _mm256_storeu_pd(p0, r0);
+  _mm256_storeu_pd(p1, r1);
+  const __m256d b0 = _mm256_loadu_pd(l0);
+  const __m256d b1 = _mm256_loadu_pd(l1);
+  const __m256d s0 = _mm256_permute_pd(r0, 0b0101);
+  const __m256d s1 = _mm256_permute_pd(r1, 0b0101);
+  acc.re[0] = _mm256_fmadd_pd(b0, r0, acc.re[0]);
+  acc.im[0] = _mm256_fmadd_pd(b0, s0, acc.im[0]);
+  acc.re[1] = _mm256_fmadd_pd(b0, r1, acc.re[1]);
+  acc.im[1] = _mm256_fmadd_pd(b0, s1, acc.im[1]);
+  acc.re[2] = _mm256_fmadd_pd(b1, r0, acc.re[2]);
+  acc.im[2] = _mm256_fmadd_pd(b1, s0, acc.im[2]);
+  acc.re[3] = _mm256_fmadd_pd(b1, r1, acc.re[3]);
+  acc.im[3] = _mm256_fmadd_pd(b1, s1, acc.im[3]);
+  _mm256_storeu_pd(l0, _mm256_add_pd(cmul_vec(w00, b0), cmul_vec(w01, b1)));
+  _mm256_storeu_pd(l1, _mm256_add_pd(cmul_vec(w10, b0), cmul_vec(w11, b1)));
+}
+
+Mat2 reduce_acc(const SweepAcc& acc) {
+  Mat2 g;
+  for (int k = 0; k < 4; ++k) {
+    alignas(32) double re[4], im[4];
+    _mm256_store_pd(re, acc.re[k]);
+    _mm256_store_pd(im, acc.im[k]);
+    g.m[static_cast<std::size_t>(k)] =
+        Complex{(re[0] + re[1]) + (re[2] + re[3]),
+                (im[0] - im[1]) + (im[2] - im[3])};
+  }
+  return g;
+}
+
 }  // namespace
+
+Mat2 adjoint_sweep_1q_avx2(Complex* psi, Complex* lambda, Index n,
+                           const Mat2& ud, Index q) {
+  assert(q >= 1);
+  double* p = reinterpret_cast<double*>(psi);
+  double* l = reinterpret_cast<double*>(lambda);
+  const Index stride = Index{1} << q;
+  const CVec w00 = broadcast_c(ud(0, 0)), w01 = broadcast_c(ud(0, 1));
+  const CVec w10 = broadcast_c(ud(1, 0)), w11 = broadcast_c(ud(1, 1));
+  SweepAcc acc{};  // zeroed lanes
+  for (Index base = 0; base < n; base += stride * 2)
+    for (Index i0 = base; i0 < base + stride; i0 += 2) {
+      const Index i1 = i0 + stride;
+      adjoint_step(p + 2 * i0, p + 2 * i1, l + 2 * i0, l + 2 * i1, w00, w01,
+                   w10, w11, acc);
+    }
+  return reduce_acc(acc);
+}
+
+Mat2 adjoint_sweep_controlled_1q_avx2(Complex* psi, Complex* lambda, Index n,
+                                      const Mat2& ud, Index control,
+                                      Index target) {
+  assert(control >= 1 && target >= 1);
+  double* p = reinterpret_cast<double*>(psi);
+  double* l = reinterpret_cast<double*>(lambda);
+  const Index cmask = Index{1} << control;
+  const Index tmask = Index{1} << target;
+  const Index mlo = Index{1} << (control < target ? control : target);
+  const Index mhi = Index{1} << (control < target ? target : control);
+  const CVec w00 = broadcast_c(ud(0, 0)), w01 = broadcast_c(ud(0, 1));
+  const CVec w10 = broadcast_c(ud(1, 0)), w11 = broadcast_c(ud(1, 1));
+  SweepAcc acc{};  // zeroed lanes
+  // Same run structure as apply_controlled_1q_avx2's lo >= 1 branch.
+  for (Index base = 0; base < n; base += 2 * mhi)
+    for (Index mid = base; mid < base + mhi; mid += 2 * mlo)
+      for (Index i = mid; i < mid + mlo; i += 2) {
+        const Index i0 = i | cmask;
+        const Index i1 = i0 | tmask;
+        adjoint_step(p + 2 * i0, p + 2 * i1, l + 2 * i0, l + 2 * i1, w00, w01,
+                     w10, w11, acc);
+      }
+  return reduce_acc(acc);
+}
 
 void apply_1q_avx2(Complex* amps, Index n, const Mat2& u, Index q) {
   double* a = reinterpret_cast<double*>(amps);
@@ -377,6 +471,13 @@ void apply_matrix2q_avx2(Complex*, Index, const Mat4&, Index, Index) {
 }
 void apply_block_diag_2q_avx2(Complex*, Index, const Mat2&, const Mat2&, Index,
                               Index) {
+  no_avx2();
+}
+Mat2 adjoint_sweep_1q_avx2(Complex*, Complex*, Index, const Mat2&, Index) {
+  no_avx2();
+}
+Mat2 adjoint_sweep_controlled_1q_avx2(Complex*, Complex*, Index, const Mat2&,
+                                      Index, Index) {
   no_avx2();
 }
 void batched_apply_1q_avx2(Real*, Real*, Index, std::size_t, const Mat2&,

@@ -6,9 +6,8 @@
 // Every shot draws from its own RNG sub-stream derived from (seed, shot
 // index) and the per-slot counts are folded in fixed order, so estimates
 // are bit-identical for any QUGEO_THREADS value — the same contract the
-// trajectory sampler honors. ShotBackend (backend.h) and the
-// core/shot_readout wrappers both delegate here, pinned byte-identical by
-// test_core_shot_readout.
+// trajectory sampler honors. ShotBackend (backend.h) delegates here;
+// test_qsim_shot_backend pins the estimators and the backend.
 #pragma once
 
 #include <cstdint>

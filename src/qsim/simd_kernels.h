@@ -9,8 +9,9 @@
 // an unsupported build is a logic error (the stub definitions throw).
 //
 // Numerical contract: each variant evaluates the same per-amplitude
-// formulas as its scalar twin; the only difference is FMA contraction, so
-// results match scalar to <= 1e-12 per amplitude (pinned by
+// formulas as its scalar twin; the only difference is FMA contraction
+// (and, for the adjoint sweeps, the lane order of the correlation sums),
+// so results match scalar to <= 1e-12 per amplitude (pinned by
 // test_qsim_kernels' *_avx2 equivalence cases, enforced by qugeo-lint
 // rule 6).
 #pragma once
@@ -46,6 +47,21 @@ void apply_matrix2q_avx2(Complex* amps, Index n, const Mat4& u, Index q0,
 /// inside this TU.
 void apply_block_diag_2q_avx2(Complex* amps, Index n, const Mat2& u0,
                               const Mat2& u1, Index control, Index target);
+
+/// AVX2 twin of adjoint_sweep_1q (statevector.h): rewinds `psi` and
+/// `lambda` by `ud` and returns their pair correlation G, in one pass with
+/// two pairs per __m256d and eight FMAs per step into lane accumulators.
+/// Requires q >= 1 (contiguous runs); the dispatcher keeps q == 0 scalar.
+[[nodiscard]] Mat2 adjoint_sweep_1q_avx2(Complex* psi, Complex* lambda,
+                                         Index n, const Mat2& ud, Index q);
+
+/// AVX2 twin of adjoint_sweep_controlled_1q. Requires control >= 1 and
+/// target >= 1; the dispatcher keeps qubit-0 placements scalar.
+[[nodiscard]] Mat2 adjoint_sweep_controlled_1q_avx2(Complex* psi,
+                                                    Complex* lambda, Index n,
+                                                    const Mat2& ud,
+                                                    Index control,
+                                                    Index target);
 
 /// Lane-vectorized 1q kernel over BatchedStateVector's SoA storage
 /// (amplitude-major, lane-minor): four batch lanes per __m256d, pure

@@ -19,6 +19,40 @@ constexpr Complex kOne{1, 0};
 bool use_avx2() noexcept {
   return simd::active_level() == simd::SimdLevel::kAvx2;
 }
+
+/// The per-pair body shared by the scalar adjoint sweeps: rewind the psi
+/// pair, correlate it against the lambda pair, rewind the lambda pair. The
+/// matrix is hoisted into locals for the same aliasing reason as apply_1q.
+struct AdjointPairStep {
+  Complex w00, w01, w10, w11;
+  Complex g00{0, 0}, g01{0, 0}, g10{0, 0}, g11{0, 0};
+
+  explicit AdjointPairStep(const Mat2& ud)
+      : w00(ud(0, 0)), w01(ud(0, 1)), w10(ud(1, 0)), w11(ud(1, 1)) {}
+
+  void operator()(Complex* psi, Complex* lam, Index i0, Index i1) {
+    const Complex p0 = psi[i0];
+    const Complex p1 = psi[i1];
+    const Complex r0 = cmul(w00, p0) + cmul(w01, p1);
+    const Complex r1 = cmul(w10, p0) + cmul(w11, p1);
+    psi[i0] = r0;
+    psi[i1] = r1;
+    const Complex l0 = lam[i0];
+    const Complex l1 = lam[i1];
+    g00 += cmul_conj(l0, r0);
+    g01 += cmul_conj(l0, r1);
+    g10 += cmul_conj(l1, r0);
+    g11 += cmul_conj(l1, r1);
+    lam[i0] = cmul(w00, l0) + cmul(w01, l1);
+    lam[i1] = cmul(w10, l0) + cmul(w11, l1);
+  }
+
+  [[nodiscard]] Mat2 correlation() const {
+    Mat2 g;
+    g.m = {g00, g01, g10, g11};
+    return g;
+  }
+};
 }  // namespace
 
 StateVector::StateVector(Index num_qubits) : num_qubits_(num_qubits) {
@@ -364,6 +398,41 @@ std::vector<Index> StateVector::sample_from_cdf(std::span<const Real> cdf,
     out[s] = static_cast<Index>(std::distance(cdf.begin(), it));
   }
   return out;
+}
+
+Mat2 adjoint_sweep_1q(StateVector& psi, StateVector& lambda, const Mat2& ud,
+                      Index q) {
+  assert(q < psi.num_qubits() && lambda.dim() == psi.dim());
+  Complex* p = psi.amplitudes_mut().data();
+  Complex* l = lambda.amplitudes_mut().data();
+  const Index n = psi.dim();
+  if (q >= 1 && use_avx2()) return adjoint_sweep_1q_avx2(p, l, n, ud, q);
+  const Index stride = Index{1} << q;
+  AdjointPairStep step(ud);
+  for (Index base = 0; base < n; base += stride * 2)
+    for (Index i0 = base; i0 < base + stride; ++i0) step(p, l, i0, i0 + stride);
+  return step.correlation();
+}
+
+Mat2 adjoint_sweep_controlled_1q(StateVector& psi, StateVector& lambda,
+                                 const Mat2& ud, Index control, Index target) {
+  assert(control < psi.num_qubits() && target < psi.num_qubits() &&
+         control != target && lambda.dim() == psi.dim());
+  Complex* p = psi.amplitudes_mut().data();
+  Complex* l = lambda.amplitudes_mut().data();
+  const Index n = psi.dim();
+  if (control >= 1 && target >= 1 && use_avx2())
+    return adjoint_sweep_controlled_1q_avx2(p, l, n, ud, control, target);
+  const Index cmask = Index{1} << control;
+  const Index tmask = Index{1} << target;
+  const Index lo = control < target ? control : target;
+  const Index hi = control < target ? target : control;
+  AdjointPairStep step(ud);
+  for (Index j = 0; j < n / 4; ++j) {
+    const Index i0 = insert_two_zero_bits(j, lo, hi) | cmask;
+    step(p, l, i0, i0 | tmask);
+  }
+  return step.correlation();
 }
 
 Real StateVector::fidelity(const StateVector& other) const {

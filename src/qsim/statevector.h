@@ -116,4 +116,25 @@ class StateVector {
   std::vector<Complex> amps_;
 };
 
+/// One adjoint-differentiation step for a 2x2 gate block on qubit `q`, as a
+/// single pass over the pairs the gate touches (Jones & Gacon,
+/// arXiv:2009.02823): each pair of `psi` is rewound by `ud` (the gate's
+/// U^dagger), the correlation G(a, b) = sum conj(lambda_a) psi'_b is
+/// accumulated against the rewound psi' and the not-yet-rewound lambda,
+/// and then the lambda pair is rewound by `ud` too. Any derivative dU of
+/// the gate contracts as <lambda|dU|psi'> = sum_ab dU(a, b) G(a, b).
+/// Dispatches to adjoint_sweep_1q_avx2 under AVX2 when q >= 1.
+[[nodiscard]] Mat2 adjoint_sweep_1q(StateVector& psi, StateVector& lambda,
+                                    const Mat2& ud, Index q);
+
+/// adjoint_sweep_1q for a controlled gate: only control=|1> pairs are
+/// rewound and correlated (the derivative of a controlled gate vanishes on
+/// the control=|0> block). Dispatches to
+/// adjoint_sweep_controlled_1q_avx2 under AVX2 when control and target
+/// are both >= 1.
+[[nodiscard]] Mat2 adjoint_sweep_controlled_1q(StateVector& psi,
+                                               StateVector& lambda,
+                                               const Mat2& ud, Index control,
+                                               Index target);
+
 }  // namespace qugeo::qsim

@@ -11,6 +11,9 @@
 //     in the 2 Re <lambda|dU|psi> contraction);
 //   * central finite differences of the loss, to 1e-6;
 //   * the parameter-shift rule, for shift-eligible corpora (RX/RY/RZ/CRY).
+// Two fixed shapes ride along: the 8-qubit, 12-block paper ansatz against
+// finite differences (the strides the small corpus never reaches), and a
+// tied-parameter circuit whose shared slots must sum every gate's share.
 // CI re-runs this binary under QUGEO_GRAD_FUSION=off, QUGEO_SIMD=scalar,
 // QUGEO_SIMD=avx2 and QUGEO_THREADS=4 legs, and under TSan (the shared
 // plan-cache test below exercises the concurrent build path).
@@ -23,6 +26,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/ansatz.h"
 #include "qsim/backend.h"
 #include "qsim/circuit.h"
 #include "qsim/compile_cache.h"
@@ -195,6 +199,22 @@ AdjointResult adjoint_of(const Circuit& circuit, std::span<const Real> params,
   return adjoint_backward(circuit, params, std::move(psi), cot);
 }
 
+/// Central finite difference of linear_loss with respect to params[p].
+Real central_difference(const Circuit& c, std::vector<Real>& params,
+                        std::size_t p, const StateVector& psi_in,
+                        const std::vector<Real>& g) {
+  const Real h = 1e-5;
+  const Real saved = params[p];
+  params[p] = saved + h;
+  StateVector plus = psi_in;
+  run_circuit(c, params, plus);
+  params[p] = saved - h;
+  StateVector minus = psi_in;
+  run_circuit(c, params, minus);
+  params[p] = saved;
+  return (linear_loss(plus, g) - linear_loss(minus, g)) / (2 * h);
+}
+
 constexpr std::uint64_t kCorpusSeeds = 12;
 
 TEST(GradientConformance, CorpusCoversEveryTrainableGateKind) {
@@ -258,7 +278,6 @@ TEST(GradientConformance, PlanIsIdentityForAllTrainableCircuits) {
 }
 
 TEST(GradientConformance, AdjointMatchesCentralFiniteDifference) {
-  const Real h = 1e-5;
   for (std::uint64_t seed = 0; seed < kCorpusSeeds; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     std::set<GateKind> kinds;
@@ -272,18 +291,10 @@ TEST(GradientConformance, AdjointMatchesCentralFiniteDifference) {
 
     const AdjointResult adj =
         adjoint_of(plan.execution_form(c), params, psi_in, g);
-    for (std::size_t p = 0; p < c.num_params(); ++p) {
-      const Real saved = params[p];
-      params[p] = saved + h;
-      StateVector plus = psi_in;
-      run_circuit(c, params, plus);
-      params[p] = saved - h;
-      StateVector minus = psi_in;
-      run_circuit(c, params, minus);
-      params[p] = saved;
-      const Real fd = (linear_loss(plus, g) - linear_loss(minus, g)) / (2 * h);
-      EXPECT_NEAR(adj.param_grads[p], fd, 1e-6) << "param " << p;
-    }
+    for (std::size_t p = 0; p < c.num_params(); ++p)
+      EXPECT_NEAR(adj.param_grads[p],
+                  central_difference(c, params, p, psi_in, g), 1e-6)
+          << "param " << p;
   }
 }
 
@@ -309,6 +320,77 @@ TEST(GradientConformance, AdjointMatchesParameterShiftOnEligibleGates) {
     // accumulated kernel rounding.
     for (std::size_t p = 0; p < shift.size(); ++p)
       EXPECT_NEAR(adj.param_grads[p], shift[p], 1e-9) << "param " << p;
+  }
+}
+
+TEST(GradientConformance, AdjointMatchesFiniteDifferenceOnPaperAnsatz) {
+  // The shape training runs: 8 data qubits, 12 U3+CU3 blocks, 576 angles.
+  // The 64/128-stride pairs and every CU3 placement (including the ring's
+  // closing CU3 with target 0) only occur at this width.
+  const core::QubitLayout layout({8}, 0);
+  const Circuit c = core::build_qugeo_ansatz(layout, core::AnsatzConfig{});
+  ASSERT_EQ(c.num_params(), 576u);
+  Rng rng(0x9a9e7);
+  std::vector<Real> params = random_params(c.num_params(), rng);
+  const StateVector psi_in = random_state(8, rng);
+  const std::vector<Real> g = random_weights(8, rng);
+  const AdjointResult adj = adjoint_of(c, params, psi_in, g);
+
+  // Per block: 8 U3 (slots 0..23), then CU3(q -> q+1 mod 8) (slots
+  // 24..47); CU3(7 -> 0) owns slots 45..47.
+  std::vector<std::size_t> probe;
+  for (std::size_t p = 0; p < 48; ++p) probe.push_back(p);         // block 0
+  for (std::size_t p = 528; p < 576; ++p) probe.push_back(p);      // block 11
+  for (std::size_t b = 1; b < 11; ++b)
+    for (std::size_t k : {0, 21, 24, 45, 46, 47}) probe.push_back(48 * b + k);
+  for (const std::size_t p : probe)
+    EXPECT_NEAR(adj.param_grads[p],
+                central_difference(c, params, p, psi_in, g), 1e-6)
+        << "param " << p;
+}
+
+TEST(GradientConformance, TiedParametersAccumulateAcrossGates) {
+  // One ParamRef drives two gates: the adjoint must sum both gates'
+  // contributions into the shared slot.
+  Circuit tied(3);
+  const ParamRef u = tied.new_params(3);
+  const ParamRef r = tied.new_param();
+  tied.h(0);
+  tied.u3(1, u);
+  tied.ry(0, r);
+  tied.cx(1, 2);
+  tied.cu3(2, 0, u);
+  tied.cry(1, 2, r);
+
+  // The same circuit with every gate on its own slots.
+  Circuit untied(3);
+  const ParamRef u1 = untied.new_params(3);
+  const ParamRef r1 = untied.new_param();
+  const ParamRef u2 = untied.new_params(3);
+  const ParamRef r2 = untied.new_param();
+  untied.h(0);
+  untied.u3(1, u1);
+  untied.ry(0, r1);
+  untied.cx(1, 2);
+  untied.cu3(2, 0, u2);
+  untied.cry(1, 2, r2);
+
+  Rng rng(0x7ed);
+  std::vector<Real> params = random_params(tied.num_params(), rng);
+  std::vector<Real> split(params);
+  split.insert(split.end(), params.begin(), params.end());
+  const StateVector psi_in = random_state(3, rng);
+  const std::vector<Real> g = random_weights(3, rng);
+
+  const AdjointResult adj = adjoint_of(tied, params, psi_in, g);
+  const AdjointResult parts = adjoint_of(untied, split, psi_in, g);
+  for (std::size_t p = 0; p < tied.num_params(); ++p) {
+    EXPECT_NEAR(adj.param_grads[p],
+                parts.param_grads[p] + parts.param_grads[p + 4], 1e-12)
+        << "param " << p;
+    EXPECT_NEAR(adj.param_grads[p],
+                central_difference(tied, params, p, psi_in, g), 1e-6)
+        << "param " << p;
   }
 }
 

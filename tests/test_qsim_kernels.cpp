@@ -7,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <complex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -493,6 +494,165 @@ TEST(SimdEquivalence, BatchedApply1QAvx2MatchesScalar) {
       formula_apply_1q(per_lane[l], u, q);
       const StateVector got = batch.lane_state(l);
       expect_amps_near(got.amplitudes(), per_lane[l], "batched_apply_1q_avx2");
+    }
+  }
+}
+
+// ---- one-sweep adjoint step ------------------------------------------------
+
+constexpr Index kNoControl = ~Index{0};
+
+/// Textbook form of the fused adjoint step: rewind psi by ud, correlate
+/// G(a, b) = sum conj(lambda_a) psi'_b over the touched pairs, rewind
+/// lambda by ud.
+Mat2 ref_adjoint_sweep(std::vector<Complex>& psi, std::vector<Complex>& lam,
+                       const Mat2& ud, Index control, Index target) {
+  const bool controlled = control != kNoControl;
+  if (controlled)
+    ref_apply_controlled_1q(psi, ud, control, target);
+  else
+    ref_apply_1q(psi, ud, target);
+  const Index tmask = Index{1} << target;
+  Mat2 g;
+  for (Index i0 = 0; i0 < psi.size(); ++i0) {
+    if ((i0 & tmask) || (controlled && !(i0 & (Index{1} << control))))
+      continue;
+    const std::array<Index, 2> idx = {i0, i0 | tmask};
+    for (int a = 0; a < 2; ++a)
+      for (int b = 0; b < 2; ++b)
+        g(a, b) += std::conj(lam[idx[static_cast<std::size_t>(a)]]) *
+                   psi[idx[static_cast<std::size_t>(b)]];
+  }
+  if (controlled)
+    ref_apply_controlled_1q(lam, ud, control, target);
+  else
+    ref_apply_1q(lam, ud, target);
+  return g;
+}
+
+/// Result of one sweep: both rewound states and the correlation.
+struct SweepOut {
+  std::vector<Complex> psi, lam;
+  Mat2 g;
+};
+
+/// The dispatching entry point on copies of (psi, lam).
+SweepOut dispatch_sweep(const std::vector<Complex>& psi,
+                        const std::vector<Complex>& lam, const Mat2& ud,
+                        Index nq, Index control, Index target) {
+  StateVector p(nq), l(nq);
+  p.set_amplitudes(psi);
+  l.set_amplitudes(lam);
+  const Mat2 g = control == kNoControl
+                     ? adjoint_sweep_1q(p, l, ud, target)
+                     : adjoint_sweep_controlled_1q(p, l, ud, control, target);
+  return {{p.amplitudes().begin(), p.amplitudes().end()},
+          {l.amplitudes().begin(), l.amplitudes().end()},
+          g};
+}
+
+void expect_sweep_near(const SweepOut& got, const SweepOut& want,
+                       const char* what) {
+  expect_amps_near(got.psi, want.psi, what);
+  expect_amps_near(got.lam, want.lam, what);
+  expect_amps_near(got.g.m, want.g.m, what);
+}
+
+/// Every (control, target) placement on 3..8 qubits; control == kNoControl
+/// stands for the uncontrolled gate on `target`.
+template <typename Fn>
+void for_each_sweep_placement(Fn&& fn) {
+  for (Index nq = 3; nq <= 8; ++nq)
+    for (Index target = 0; target < nq; ++target) {
+      fn(nq, kNoControl, target);
+      for (Index control = 0; control < nq; ++control)
+        if (control != target) fn(nq, control, target);
+    }
+}
+
+TEST(KernelEquivalence, AdjointSweepMatchesReference) {
+  const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
+  Rng rng(41);
+  for_each_sweep_placement([&](Index nq, Index control, Index target) {
+    SCOPED_TRACE("nq=" + std::to_string(nq) + " control=" +
+                 std::to_string(static_cast<long long>(control)) +
+                 " target=" + std::to_string(target));
+    const auto psi = random_amplitudes(Index{1} << nq, rng);
+    const auto lam = random_amplitudes(Index{1} << nq, rng);
+    const Mat2 ud = dagger(random_mat2(rng));
+    SweepOut want{psi, lam, {}};
+    want.g = ref_adjoint_sweep(want.psi, want.lam, ud, control, target);
+    expect_sweep_near(dispatch_sweep(psi, lam, ud, nq, control, target), want,
+                      "scalar adjoint sweep");
+  });
+}
+
+TEST(SimdEquivalence, AdjointSweepAvx2MatchesScalar) {
+  if (!simd::cpu_supports_avx2())
+    GTEST_SKIP() << "AVX2+FMA not supported on this CPU";
+  Rng rng(42);
+  for_each_sweep_placement([&](Index nq, Index control, Index target) {
+    SCOPED_TRACE("nq=" + std::to_string(nq) + " control=" +
+                 std::to_string(static_cast<long long>(control)) +
+                 " target=" + std::to_string(target));
+    const auto psi = random_amplitudes(Index{1} << nq, rng);
+    const auto lam = random_amplitudes(Index{1} << nq, rng);
+    const Mat2 ud = dagger(random_mat2(rng));
+    SweepOut want;
+    {
+      const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
+      want = dispatch_sweep(psi, lam, ud, nq, control, target);
+    }
+    const bool controlled = control != kNoControl;
+    if (target >= 1 && (!controlled || control >= 1)) {
+      // Contiguous-run layout: the vector kernel itself.
+      SweepOut got{psi, lam, {}};
+      got.g = controlled
+                  ? adjoint_sweep_controlled_1q_avx2(got.psi.data(),
+                                                     got.lam.data(),
+                                                     got.psi.size(), ud,
+                                                     control, target)
+                  : adjoint_sweep_1q_avx2(got.psi.data(), got.lam.data(),
+                                          got.psi.size(), ud, target);
+      expect_sweep_near(got, want, "adjoint_sweep avx2");
+    } else {
+      // Qubit-0 placement: AVX2 dispatch falls back to the scalar twin.
+      const simd::ScopedSimdMode scoped(simd::SimdMode::kAvx2);
+      const SweepOut got = dispatch_sweep(psi, lam, ud, nq, control, target);
+      expect_amps_bitwise(got.psi, want.psi, "avx2 fallback psi");
+      expect_amps_bitwise(got.lam, want.lam, "avx2 fallback lambda");
+      expect_amps_bitwise(got.g.m, want.g.m, "avx2 fallback G");
+    }
+  });
+}
+
+TEST(KernelEquivalence, GateMatrixAndDerivsMatchReference) {
+  // The trig-hoisted helper the adjoint consumes against the per-slot
+  // reference definitions, for every kind (parameter-free kinds: u only).
+  Rng rng(43);
+  for (const GateKind kind : kAllKinds) {
+    if (kind == GateKind::kSWAP) continue;
+    for (int trial = 0; trial < 8; ++trial) {
+      std::array<Real, 3> params{};
+      for (Real& p : params) p = rng.uniform(-4, 4);
+      const GateDerivs d = gate_matrix_and_derivs(kind, params);
+      const Mat2 u = gate_matrix(kind, params);
+      for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_NEAR(d.u.m[k].real(), u.m[k].real(), 1e-14) << gate_name(kind);
+        EXPECT_NEAR(d.u.m[k].imag(), u.m[k].imag(), 1e-14) << gate_name(kind);
+      }
+      for (int slot = 0; slot < 3; ++slot) {
+        const Mat2 du = slot < gate_param_count(kind)
+                            ? gate_matrix_deriv(kind, params, slot)
+                            : Mat2{};
+        const Mat2& got = d.du[static_cast<std::size_t>(slot)];
+        for (std::size_t k = 0; k < 4; ++k) {
+          EXPECT_NEAR(got.m[k].real(), du.m[k].real(), 1e-14)
+              << gate_name(kind) << " slot " << slot;
+          EXPECT_NEAR(got.m[k].imag(), du.m[k].imag(), 1e-14)
+              << gate_name(kind) << " slot " << slot;
+        }
+      }
     }
   }
 }

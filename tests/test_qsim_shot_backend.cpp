@@ -1,7 +1,9 @@
 // ShotBackend conformance: convergence of the empirical distribution to
 // the wrapped backend's exact probabilities (binomial 4-sigma bound),
 // bit-identical sampling for any thread count, exact pass-through at
-// shots = 0, readout-error inversion, and factory/env plumbing.
+// shots = 0, readout-error inversion, and factory/env plumbing. The
+// ShotSampling cases pin the qsim/shots.h estimators directly, and the
+// model case checks sampled predictions end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +12,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/model.h"
 #include "qsim/backend.h"
 #include "qsim/encoding.h"
 #include "qsim/shots.h"
@@ -245,6 +248,98 @@ TEST(ShotBackend, RefusesToWrapAnotherShotBackend) {
       (void)ShotBackend(cfg, std::make_unique<ShotBackend>(
                                  cfg, std::make_unique<StatevectorBackend>(cfg))),
       std::invalid_argument);
+}
+
+TEST(ShotSampling, BasisStateReadoutIsExact) {
+  // |00>: every shot lands on outcome 0, so the sampled <Z> and marginal
+  // are exact for any budget.
+  const StateVector psi(2);
+  const auto probs = sampled_probabilities_from_cdf(
+      psi.cumulative_probabilities(), 2, /*seed=*/3, /*shots=*/10);
+  const std::vector<Index> qubits = {0, 1};
+  const auto z = expect_z_from_probabilities(probs, qubits);
+  EXPECT_EQ(z[0], 1.0);
+  EXPECT_EQ(z[1], 1.0);
+  const auto m = marginal_from_probabilities(probs, qubits);
+  EXPECT_EQ(m[0], 1.0);
+  for (std::size_t k = 1; k < m.size(); ++k) EXPECT_EQ(m[k], 0.0);
+}
+
+TEST(ShotSampling, MarginalAndZEstimatesConvergeWithShots) {
+  Rng rng(4);
+  StateVector psi(4);
+  std::vector<Real> data(psi.dim());
+  rng.fill_uniform(data, -1, 1);
+  encode_amplitudes(data, psi);
+  const auto cdf = psi.cumulative_probabilities();
+
+  const std::vector<Index> pair = {1, 3};
+  const auto m = marginal_from_probabilities(
+      sampled_probabilities_from_cdf(cdf, 4, 5, 5000), pair);
+  ASSERT_EQ(m.size(), 4u);
+  Real sum = 0;
+  for (Real v : m) sum += v;
+  EXPECT_NEAR(sum, 1.0, 1e-12);
+  const auto exact = psi.marginal_probabilities(pair);
+  for (std::size_t k = 0; k < 4; ++k) EXPECT_NEAR(m[k], exact[k], 0.03);
+
+  const std::vector<Index> all = {0, 1, 2, 3};
+  const auto z_few = expect_z_from_probabilities(
+      sampled_probabilities_from_cdf(cdf, 4, 6, 100), all);
+  const auto z_many = expect_z_from_probabilities(
+      sampled_probabilities_from_cdf(cdf, 4, 7, 50000), all);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const Real want = psi.expect_z(all[i]);
+    EXPECT_NEAR(z_many[i], want, 0.02);
+    EXPECT_LE(std::abs(z_many[i] - want), std::abs(z_few[i] - want) + 0.02);
+  }
+}
+
+TEST(ShotSampling, ZeroShotsRejected) {
+  const StateVector psi(1);
+  EXPECT_THROW((void)sampled_probabilities_from_cdf(
+                   psi.cumulative_probabilities(), 1, 1, 0),
+               std::invalid_argument);
+}
+
+TEST(ShotBackend, SampledModelPredictionsConvergeToExactDecode) {
+  // Every decoder and QuBatch size reads out through the ShotBackend when
+  // the model's ExecutionConfig carries a shot budget; the sampled
+  // predictions converge to the exact decode.
+  Rng rng(9);
+  data::ScaledSample s;
+  s.waveform.resize(8);
+  s.velocity.assign(6, 0.5);
+  rng.fill_uniform(s.waveform, -1, 1);
+  const data::ScaledSample* chunk[] = {&s};
+
+  core::ModelConfig layer;
+  layer.group_data_qubits = {3};
+  layer.ansatz.blocks = 2;
+  layer.decoder = core::DecoderKind::kLayer;
+  layer.vel_rows = 3;
+  layer.vel_cols = 2;
+  core::ModelConfig batched = layer;
+  batched.batch_log2 = 1;
+  batched.ansatz.blocks = 1;
+  core::ModelConfig pixel = layer;
+  pixel.ansatz.blocks = 1;
+  pixel.decoder = core::DecoderKind::kPixel;
+  pixel.vel_rows = 2;
+
+  for (const core::ModelConfig& mc : {layer, batched, pixel}) {
+    const core::QuGeoModel model(mc, rng);
+    ExecutionConfig exec;  // exact statevector, whatever the environment
+    const auto exact = model.predict_with(chunk, exec)[0];
+    exec.shots = 200000;
+    exec.seed = rng.next_u64();
+    const auto sampled = model.predict_with(chunk, exec)[0];
+    ASSERT_EQ(sampled.size(), exact.size());
+    for (std::size_t k = 0; k < exact.size(); ++k)
+      EXPECT_NEAR(sampled[k], exact[k], 0.02)
+          << "decoder " << static_cast<int>(mc.decoder) << " batch_log2 "
+          << mc.batch_log2 << " pixel " << k;
+  }
 }
 
 TEST(ShotBackend, EnvOverridesAreApplied) {
