@@ -1,9 +1,6 @@
-// Microbenchmarks of the training loop: epoch-sharding scaling (the
-// data-parallel gradient accumulation of train_model swept across shard
-// counts on the shared pool) and the per-step cost of the sharded fold.
-// Merges into BENCH_micro.json like every micro suite; the scaling rows
-// are the evidence behind the QUGEO_GRAD_SHARDS guidance in
-// docs/ARCHITECTURE.md.
+// Microbenchmark of the training loop: the per-chunk cost of the memoized
+// gradient plan once it is built. Merges into BENCH_micro.json like every
+// micro suite.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -11,7 +8,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "core/trainer.h"
+#include "core/model.h"
 
 namespace {
 
@@ -57,34 +54,6 @@ core::ModelConfig tiny_model() {
   mc.vel_cols = 2;
   return mc;
 }
-
-void BM_TrainEpochSharded(benchmark::State& state) {
-  // One full training epoch per iteration, swept across gradient shard
-  // counts (Arg = grad_shards; 0 = one slot per chunk, the pre-sharding
-  // layout). Results are bit-identical across rows — only the wall clock
-  // and the gradient-buffer footprint move.
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  Rng rng(61);
-  const data::ScaledDataset ds = synthetic_dataset(32, 8, 3, 2, rng);
-  const data::SplitView split = data::split_dataset(32, 24);
-  core::TrainConfig tc;
-  tc.epochs = 1;
-  tc.initial_lr = 0.05;
-  tc.chunks_per_step = 24;  // one accumulation group spanning the epoch
-  tc.grad_shards = shards;
-  tc.log_every = 0;
-  for (auto _ : state) {
-    Rng init(62);
-    core::QuGeoModel model(tiny_model(), init);
-    const core::TrainResult result = core::train_model(model, ds, split, tc);
-    benchmark::DoNotOptimize(result.final_mse);
-  }
-  // Samples trained per second.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(split.train.size()));
-  state.counters["grad_shards"] = static_cast<double>(shards);
-}
-BENCHMARK(BM_TrainEpochSharded)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_GradientPlanCacheHit(benchmark::State& state) {
   // The per-chunk cost of the memoized gradient plan after the first

@@ -224,21 +224,8 @@ void save_tensor(const std::filesystem::path& path,
 }
 
 LoadedTensor load_tensor(const std::filesystem::path& path) {
-  // Sniff the magic: framed tensors carry the legacy body as their
-  // payload, so both paths converge on the same parser and old headerless
-  // files keep loading.
-  std::vector<unsigned char> bytes;
-  try {
-    bytes = read_all_bytes(path);
-  } catch (const FrameError& e) {
-    throw std::runtime_error(e.what());  // missing file: legacy error type
-  }
-  if (bytes.size() >= sizeof(kFrameMagic) &&
-      std::memcmp(bytes.data(), kFrameMagic, sizeof(kFrameMagic)) == 0) {
-    const FramedPayload frame = read_framed_file(path);
-    return parse_tensor_body(frame.payload.data(), frame.payload.size(), path);
-  }
-  return parse_tensor_body(bytes.data(), bytes.size(), path);
+  const FramedPayload frame = read_framed_file(path);
+  return parse_tensor_body(frame.payload.data(), frame.payload.size(), path);
 }
 
 CsvWriter::CsvWriter(const std::filesystem::path& path,

@@ -6,8 +6,8 @@
 // header, written atomically (temp file + fsync + rename) so a crash
 // mid-write can never tear a previously valid file, and a torn or
 // bit-flipped payload is detected at read time instead of being silently
-// parsed. Readers sniff the first four bytes, so legacy headerless files
-// (pre-frame "QGT1" tensors) keep loading unchanged.
+// parsed. A file without the frame header (such as a pre-frame "QGT1"
+// tensor) is rejected as FrameError::Kind::kBadMagic.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,9 @@ struct LoadedTensor {
   std::vector<Real> data;
 };
 
-/// Read a tensor written by save_tensor — framed ("QGF1") or legacy
-/// headerless ("QGT1"), distinguished by sniffing the magic. Throws
-/// FrameError / std::runtime_error on malformed files.
+/// Read a tensor written by save_tensor. Throws FrameError when the frame
+/// is missing, not a frame (kBadMagic, which includes a bare "QGT1" body),
+/// torn or CRC-corrupt, and std::runtime_error on a malformed body.
 [[nodiscard]] LoadedTensor load_tensor(const std::filesystem::path& path);
 
 /// Incremental CSV writer (header row + data rows), for training curves.

@@ -96,7 +96,9 @@ class QuGeoModel {
   void set_parameters(std::span<const Real> params);
 
   /// Predict velocity maps for any number of samples; batching chunks are
-  /// handled internally (the final chunk is padded by repetition).
+  /// handled internally (the final chunk is padded by repetition). Chunks
+  /// fan out over the pool; ExecutionConfig::batch > 1 additionally
+  /// groups them into SoA lanes on the exact statevector path.
   [[nodiscard]] std::vector<std::vector<Real>> predict(
       std::span<const data::ScaledSample* const> samples) const;
 

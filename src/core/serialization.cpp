@@ -103,10 +103,9 @@ std::uint64_t train_fingerprint(const TrainConfig& config) {
   mix(h, std::bit_cast<std::uint64_t>(config.initial_lr));
   mix(h, config.shuffle_seed);
   mix(h, config.chunks_per_step);
-  // Different shard counts group the gradient fold differently, so a
-  // checkpoint resumed under another QUGEO_GRAD_SHARDS would silently
-  // break bit-identity with the uninterrupted run.
-  mix(h, config.grad_shards);
+  // Former gradient-shard count, always 0 now: mixed in so checkpoints
+  // written while the field existed keep their fingerprint and resume.
+  mix(h, 0);
   return h;
 }
 

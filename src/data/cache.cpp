@@ -1,8 +1,11 @@
 #include "data/cache.h"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/env.h"
+#include "common/fault.h"
 #include "common/io.h"
 #include "common/logging.h"
 
@@ -99,13 +102,21 @@ ExperimentData load_or_build_experiment_data(const ExperimentDataConfig& config)
   if (scaled_dataset_exists(p_ds) && scaled_dataset_exists(p_fw) &&
       scaled_dataset_exists(p_cnn)) {
     log_info("experiment data: loading cache ", base.string());
-    data.dsample = load_scaled_dataset(p_ds);
-    data.qdfw = load_scaled_dataset(p_fw);
-    data.qdcnn = load_scaled_dataset(p_cnn);
-    data.dsample.scaler_name = "D-Sample";
-    data.qdfw.scaler_name = "Q-D-FW";
-    data.qdcnn.scaler_name = "Q-D-CNN";
-    return data;
+    // A torn, CRC-corrupt, pre-frame or malformed entry is a cache miss:
+    // report it and rebuild, which overwrites all three datasets.
+    try {
+      data.dsample = load_scaled_dataset(p_ds);
+      data.qdfw = load_scaled_dataset(p_fw);
+      data.qdcnn = load_scaled_dataset(p_cnn);
+      data.dsample.scaler_name = "D-Sample";
+      data.qdfw.scaler_name = "Q-D-FW";
+      data.qdcnn.scaler_name = "Q-D-CNN";
+      return data;
+    } catch (const std::runtime_error& e) {
+      fault::report_degradation(
+          "data.cache", std::string("unreadable cache entry, rebuilding: ") +
+                            e.what());
+    }
   }
 
   log_info("experiment data: generating ", config.num_samples, "+",

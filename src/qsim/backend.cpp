@@ -260,8 +260,7 @@ TrajectoryBackend::TrajectoryBackend(const ExecutionConfig& config)
       seed_(config.seed),
       fusion_(config.fusion),
       cache_(config.compile_cache),
-      simd_(config.simd),
-      batch_(config.batch == 0 ? 1 : config.batch) {}
+      simd_(config.simd) {}
 
 Index TrajectoryBackend::num_qubits() const noexcept { return num_qubits_; }
 
@@ -303,67 +302,28 @@ void TrajectoryBackend::run(const Circuit& circuit,
     mean_probs_ = psi.probabilities();
     return;
   }
-  if (trajectories_ == 1) {
-    StateVector psi = std::move(initial_state);
-    Rng rng = trajectory_rng(seed_, 0);
-    run_circuit_noisy(exec_circuit, params, psi, noise_, rng);
-    mean_probs_ = psi.probabilities();
-    return;
-  }
 
   // Trajectory fan-out over the shared pool. A fixed number of accumulation
   // slots (independent of the thread count) each sum a strided subset of
   // trajectories sequentially; the slots fold in index order afterwards, so
   // the average is bit-identical for any QUGEO_THREADS value while keeping
-  // memory at O(slots * 2^n) instead of O(trajectories * 2^n).
+  // memory at O(slots * 2^n) instead of O(trajectories * 2^n). A single
+  // trajectory is the one-slot case: 0 + |a|^2, folded once, times 1.
   const std::size_t slots = std::min<std::size_t>(trajectories_, 32);
-  // Each slot advances its strided trajectory subset in groups of up to
-  // batch_ BatchedStateVector lanes: one circuit pass per group instead of
-  // one per trajectory. Lane l of a group is trajectory ts[g + l] with its
-  // own (seed, index) sub-stream, and the group's lanes fold into the
-  // slot accumulator in lane (= trajectory) order, so the result is
-  // bit-identical (scalar mode) to the looped path for any batch width.
-  // Generalized Kraus channels stay on the loop (noise_is_batchable).
-  const std::size_t group_width =
-      noise_is_batchable(noise_) ? std::min(batch_, trajectories_) : 1;
   const simd::SimdMode thread_mode = simd_;
   std::vector<std::vector<Real>> partial(slots);
-  parallel_for(0, slots, [&, thread_mode, group_width](std::size_t s) {
+  parallel_for(0, slots, [&, thread_mode](std::size_t s) {
     // Pool workers do not inherit the caller's thread-local dispatch
     // override; re-install the mode on this thread.
     std::optional<simd::ScopedSimdMode> slot_scoped;
     if (thread_mode != simd::SimdMode::kAuto) slot_scoped.emplace(thread_mode);
     std::vector<Real> acc(dim, Real(0));
-    if (group_width > 1) {
-      std::vector<std::size_t> ts;
-      for (std::size_t t = s; t < trajectories_; t += slots) ts.push_back(t);
-      for (std::size_t g = 0; g < ts.size(); g += group_width) {
-        const std::size_t lanes = std::min(group_width, ts.size() - g);
-        BatchedStateVector bpsi(initial_state.num_qubits(), lanes);
-        std::vector<Rng> rngs;
-        rngs.reserve(lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          bpsi.set_lane(l, initial_state);
-          rngs.push_back(trajectory_rng(seed_, ts[g + l]));
-        }
-        run_circuit_noisy_batched(exec_circuit, params, bpsi, noise_, rngs);
-        const Real* re = bpsi.re_data();
-        const Real* im = bpsi.im_data();
-        for (std::size_t l = 0; l < lanes; ++l)
-          for (Index k = 0; k < dim; ++k) {
-            const Real r = re[k * lanes + l];
-            const Real i = im[k * lanes + l];
-            acc[k] += r * r + i * i;
-          }
-      }
-    } else {
-      for (std::size_t t = s; t < trajectories_; t += slots) {
-        StateVector psi = initial_state;
-        Rng rng = trajectory_rng(seed_, t);
-        run_circuit_noisy(exec_circuit, params, psi, noise_, rng);
-        const auto amps = psi.amplitudes();
-        for (Index k = 0; k < dim; ++k) acc[k] += std::norm(amps[k]);
-      }
+    for (std::size_t t = s; t < trajectories_; t += slots) {
+      StateVector psi = initial_state;
+      Rng rng = trajectory_rng(seed_, t);
+      run_circuit_noisy(exec_circuit, params, psi, noise_, rng);
+      const auto amps = psi.amplitudes();
+      for (Index k = 0; k < dim; ++k) acc[k] += std::norm(amps[k]);
     }
     partial[s] = std::move(acc);
   });

@@ -72,9 +72,8 @@ struct ExecutionConfig {
   /// ShotBackend that estimates them from this many shots (make_backend
   /// does the wrapping — no call-site special-casing).
   std::size_t shots = 0;
-  /// Base seed for trajectory/shot streams. qugeo-lint: no-env(QUGEO_SEED
-  /// seeds the data-corpus RNG; execution seeds are salted per chunk by
-  /// QuGeoModel, so an env override here would correlate every chunk).
+  /// Base seed for trajectory/shot streams (QuGeoModel salts it per
+  /// chunk).
   std::uint64_t seed = 0x51d5eedULL;
   /// Master switch for circuit canonicalization (run fusion) on the
   /// noiseless execution paths. Off, every backend executes the original
@@ -97,7 +96,6 @@ struct ExecutionConfig {
   /// key semantics). Backends consult it in run(); null means every
   /// execution probes (and, if fusable, re-fuses) its circuit locally.
   /// QuGeoModel owns one per model and injects it for every predict call.
-  /// qugeo-lint: no-env(a process-shared pointer cannot come from text).
   std::shared_ptr<CompiledCircuitCache> compile_cache;
   /// Kernel dispatch mode for this execution (common/cpu_features.h). kAuto
   /// defers to the process default (the QUGEO_SIMD environment mode, or the
@@ -107,11 +105,10 @@ struct ExecutionConfig {
   /// thread-local ScopedSimdMode overrides, so concurrent executions with
   /// different modes do not race.
   simd::SimdMode simd = simd::SimdMode::kAuto;
-  /// Batched-execution width: how many independent states one gate
-  /// dispatch should sweep (BatchedStateVector lanes). 1 executes states
-  /// one at a time (the pre-batching path, bit-identical); QuGeoModel
-  /// groups the samples of each QuBatch chunk and TrajectoryBackend groups
-  /// its trajectories up to this many lanes.
+  /// Batched-execution width of QuGeoModel::predict: how many QuBatch
+  /// chunks one gate dispatch sweeps as BatchedStateVector lanes on the
+  /// exact statevector path. 1 executes chunks one at a time (the
+  /// pre-batching path, bit-identical). No backend reads it.
   std::size_t batch = 1;
 };
 
@@ -283,12 +280,6 @@ class TrajectoryBackend final : public Backend {
   bool fusion_;
   std::shared_ptr<CompiledCircuitCache> cache_;
   simd::SimdMode simd_;
-  /// Trajectory-group width: each accumulation slot advances up to this
-  /// many trajectories as BatchedStateVector lanes per circuit pass
-  /// (ExecutionConfig::batch; 1 = the looped pre-batching path). Only
-  /// batchable noise models group — generalized Kraus channels keep the
-  /// per-trajectory loop (batched_executor.h: noise_is_batchable).
-  std::size_t batch_;
   Index num_qubits_ = 0;
   std::vector<Real> mean_probs_;
 };

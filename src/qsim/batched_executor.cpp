@@ -6,10 +6,6 @@
 namespace qugeo::qsim {
 namespace {
 
-const Mat2 kPauliX{{Complex{0, 0}, Complex{1, 0}, Complex{1, 0}, Complex{0, 0}}};
-const Mat2 kPauliY{{Complex{0, 0}, Complex{0, -1}, Complex{0, 1}, Complex{0, 0}}};
-const Mat2 kPauliZ{{Complex{1, 0}, Complex{0, 0}, Complex{0, 0}, Complex{-1, 0}}};
-
 /// Batched twin of executor.cpp's apply_block: route the 2x2 block to the
 /// class-specialized all-lane kernel.
 void apply_block_batched(GateKind kind, const Mat2& u,
@@ -72,18 +68,6 @@ void apply_op_batched(const Op& op, std::span<const Real> params,
   apply_block_batched(op.kind, gate_matrix(op.kind, vals), op.qubits, psi);
 }
 
-/// Per-lane depolarizing insertion with maybe_depolarize's exact draw
-/// sequence (bernoulli, then uniform_int on hit) against the LANE's rng.
-void maybe_depolarize_lane(BatchedStateVector& psi, Index q, Real p, Rng& rng,
-                           std::size_t lane) {
-  if (!rng.bernoulli(p)) return;
-  switch (rng.uniform_int(0, 2)) {
-    case 0: psi.apply_1q_lane(kPauliX, q, lane); break;
-    case 1: psi.apply_1q_lane(kPauliY, q, lane); break;
-    default: psi.apply_1q_lane(kPauliZ, q, lane); break;
-  }
-}
-
 }  // namespace
 
 void run_circuit_batched(const Circuit& circuit, std::span<const Real> params,
@@ -99,53 +83,6 @@ void run_circuit_batched(const Circuit& circuit, std::span<const Real> params,
                           op.qubits[1], psi);
     else
       apply_op_batched(op, params, psi);
-  }
-}
-
-bool noise_is_batchable(const NoiseModel& noise) noexcept {
-  return !noise.has_gate_noise() ||
-         noise.channel == NoiseChannel::kDepolarizing;
-}
-
-void run_circuit_noisy_batched(const Circuit& circuit,
-                               std::span<const Real> params,
-                               BatchedStateVector& psi,
-                               const NoiseModel& noise, std::span<Rng> rngs) {
-  if (rngs.size() != psi.lanes())
-    throw std::invalid_argument(
-        "run_circuit_noisy_batched: need one Rng per lane");
-  if (!noise_is_batchable(noise))
-    throw std::invalid_argument(
-        "run_circuit_noisy_batched: generalized Kraus channels need the "
-        "looped run_circuit_noisy");
-  if (noise.has_gate_noise()) {
-    // Gates advance all lanes at once; each noise insertion point then
-    // consults every lane's own rng in lane order. Lane l's draw sequence
-    // is exactly what a looped trajectory with the same Rng would see,
-    // because draws only ever come from that lane's stream.
-    const auto sample_channel = [&](Index q) {
-      for (std::size_t l = 0; l < psi.lanes(); ++l)
-        maybe_depolarize_lane(psi, q, noise.gate_error_prob, rngs[l], l);
-    };
-    for (const Op& op : circuit.ops()) {
-      if (is_fused_kind(op.kind))
-        // Fusion is restricted to noiseless paths (optimizer.h legality
-        // rules) — mirror run_circuit_noisy's contract.
-        throw std::invalid_argument(
-            "run_circuit_noisy_batched: fused ops are illegal under gate "
-            "noise");
-      apply_op_batched(op, params, psi);
-      sample_channel(op.qubits[0]);
-      if (gate_qubit_count(op.kind) == 2) sample_channel(op.qubits[1]);
-    }
-  } else {
-    run_circuit_batched(circuit, params, psi);
-  }
-  if (noise.has_readout_error()) {
-    for (std::size_t l = 0; l < psi.lanes(); ++l)
-      for (Index q = 0; q < psi.num_qubits(); ++q)
-        if (rngs[l].bernoulli(noise.readout_error))
-          psi.apply_1q_lane(kPauliX, q, l);
   }
 }
 

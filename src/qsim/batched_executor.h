@@ -4,16 +4,14 @@
 //
 // Equivalence contract: running a circuit batched gives bit-identical
 // amplitudes (scalar mode) to running it on each lane's StateVector with
-// run_circuit / run_circuit_noisy — pinned per GateKind (fused kinds
-// included) by test_qsim_batched.
+// run_circuit — pinned per GateKind (fused kinds included) by
+// test_qsim_batched.
 #pragma once
 
 #include <span>
 
-#include "common/rng.h"
 #include "qsim/batched_statevector.h"
 #include "qsim/circuit.h"
-#include "qsim/noise.h"
 
 namespace qugeo::qsim {
 
@@ -22,22 +20,5 @@ namespace qugeo::qsim {
 /// lives in the circuit's side table).
 void run_circuit_batched(const Circuit& circuit, std::span<const Real> params,
                          BatchedStateVector& psi);
-
-/// True when `noise` can run through the batched trajectory path: the only
-/// state-dependent draws a batched run cannot interleave are generalized
-/// Kraus jumps, so gate noise must be absent or depolarizing (readout
-/// bit-flips are always fine). Callers fall back to the looped
-/// run_circuit_noisy otherwise.
-[[nodiscard]] bool noise_is_batchable(const NoiseModel& noise) noexcept;
-
-/// Run one noisy trajectory per lane, all lanes in one circuit pass: lane l
-/// draws from rngs[l] in exactly the order run_circuit_noisy would, so lane
-/// l ends bit-identical (scalar mode) to a looped trajectory seeded with
-/// the same Rng. Requires noise_is_batchable(noise) and
-/// rngs.size() == psi.lanes(); throws std::invalid_argument otherwise.
-void run_circuit_noisy_batched(const Circuit& circuit,
-                               std::span<const Real> params,
-                               BatchedStateVector& psi,
-                               const NoiseModel& noise, std::span<Rng> rngs);
 
 }  // namespace qugeo::qsim

@@ -456,28 +456,4 @@ void BatchedStateVector::apply_swap(Index a, Index b) {
   }
 }
 
-void BatchedStateVector::apply_1q_lane(const Mat2& u, Index q,
-                                       std::size_t lane) {
-  assert(q < num_qubits_ && lane < lanes_);
-  const Index stride = Index{1} << q;
-  const Real u00r = u(0, 0).real(), u00i = u(0, 0).imag();
-  const Real u01r = u(0, 1).real(), u01i = u(0, 1).imag();
-  const Real u10r = u(1, 0).real(), u10i = u(1, 0).imag();
-  const Real u11r = u(1, 1).real(), u11i = u(1, 1).imag();
-  Real* re = re_.data();
-  Real* im = im_.data();
-  for (Index base = 0; base < dim_; base += stride * 2) {
-    for (Index off = 0; off < stride; ++off) {
-      const Index i0 = (base + off) * lanes_ + lane;
-      const Index i1 = i0 + stride * lanes_;
-      const Real a0r = re[i0], a0i = im[i0];
-      const Real a1r = re[i1], a1i = im[i1];
-      re[i0] = (u00r * a0r - u00i * a0i) + (u01r * a1r - u01i * a1i);
-      im[i0] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
-      re[i1] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
-      im[i1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
-    }
-  }
-}
-
 }  // namespace qugeo::qsim

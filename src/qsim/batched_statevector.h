@@ -9,7 +9,7 @@
 // pure mul/add with unit stride (four lanes per __m256d on the AVX2 path,
 // no shuffles), and the per-gate index arithmetic is amortized over the
 // whole batch. This is the execution substrate for QuGeoModel's per-chunk
-// sample batching and for TrajectoryBackend's trajectory groups.
+// sample batching.
 //
 // Numerical contract: the scalar lane loops evaluate exactly the formulas
 // StateVector's kernels evaluate (same cmul grouping, same operation
@@ -75,11 +75,6 @@ class BatchedStateVector {
   void apply_controlled_antidiag_1q(Complex a01, Complex a10, Index control,
                                     Index target);
   void apply_swap(Index a, Index b);
-
-  /// Apply a 2x2 map to qubit `q` of ONE lane (strided access): the
-  /// insertion point for per-trajectory noise (random Paulis, readout
-  /// flips) inside a batched noisy run.
-  void apply_1q_lane(const Mat2& u, Index q, std::size_t lane);
 
  private:
   Index num_qubits_;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/parallel.h"
 #include "qsim/executor.h"
 
 namespace qugeo::qsim {
@@ -172,30 +171,6 @@ void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
     run_circuit(circuit, params, psi);
   }
   apply_readout_trajectory(psi, noise.readout_error, rng);
-}
-
-std::vector<Real> noisy_expect_z(const Circuit& circuit,
-                                 std::span<const Real> params,
-                                 const StateVector& psi_in,
-                                 std::span<const Index> qubits,
-                                 const NoiseModel& noise, std::uint64_t seed,
-                                 std::size_t trajectories) {
-  // One result slot per trajectory, folded in index order afterwards: the
-  // average does not depend on the thread count or pool schedule.
-  std::vector<std::vector<Real>> per_traj(trajectories);
-  parallel_for(0, trajectories, [&](std::size_t t) {
-    StateVector psi = psi_in;
-    Rng rng = trajectory_rng(seed, t);
-    run_circuit_noisy(circuit, params, psi, noise, rng);
-    per_traj[t].resize(qubits.size());
-    for (std::size_t i = 0; i < qubits.size(); ++i)
-      per_traj[t][i] = psi.expect_z(qubits[i]);
-  });
-  std::vector<Real> acc(qubits.size(), Real(0));
-  for (std::size_t t = 0; t < trajectories; ++t)
-    for (std::size_t i = 0; i < qubits.size(); ++i) acc[i] += per_traj[t][i];
-  for (Real& a : acc) a /= static_cast<Real>(trajectories);
-  return acc;
 }
 
 }  // namespace qugeo::qsim

@@ -98,14 +98,4 @@ void apply_readout_trajectory(StateVector& psi, Real e, Rng& rng);
 void run_circuit_noisy(const Circuit& circuit, std::span<const Real> params,
                        StateVector& psi, const NoiseModel& noise, Rng& rng);
 
-/// Average <Z_q> for each listed qubit over `trajectories` noisy runs that
-/// all start from `psi_in`. Trajectories fan out across the shared thread
-/// pool; each draws its own (seed, index) sub-stream and the per-trajectory
-/// results are folded in fixed index order, so the answer is bit-identical
-/// for any QUGEO_THREADS value.
-[[nodiscard]] std::vector<Real> noisy_expect_z(
-    const Circuit& circuit, std::span<const Real> params,
-    const StateVector& psi_in, std::span<const Index> qubits,
-    const NoiseModel& noise, std::uint64_t seed, std::size_t trajectories);
-
 }  // namespace qugeo::qsim

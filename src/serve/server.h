@@ -7,8 +7,11 @@
 // `max_batch` requests (size trigger) or when the OLDEST queued request
 // has waited `deadline` (latency trigger), whichever comes first — so a
 // lone request is never stranded behind a batch that will not fill, and a
-// hot queue amortizes circuit compilation, gate dispatch, and the SoA
-// batched kernels across the whole group.
+// hot queue amortizes the per-dispatch cost (one predict_with call, one
+// pool fan-out) across the whole group. Each group runs the model's
+// trainable ansatz on its configured backend: canonicalization is the
+// identity on it, and at the default ExecutionConfig::batch = 1 every
+// QuBatch chunk executes on its own.
 //
 // Backpressure is explicit and non-blocking: once the queue holds
 // `full_threshold` requests, submit() immediately completes the request

@@ -1,6 +1,6 @@
 // Tensor/CSV serialization round trips and failure modes, plus the
 // CRC-guarded framed container (atomic writes, corruption taxonomy,
-// legacy headerless sniffing).
+// rejection of pre-frame headerless tensors).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -196,9 +196,10 @@ TEST_F(IoTest, TensorsAreFramedAndCorruptionIsDetected) {
   }
 }
 
-TEST_F(IoTest, LegacyHeaderlessTensorStillLoads) {
+TEST_F(IoTest, LegacyHeaderlessTensorIsRejected) {
   // A pre-frame "QGT1" file written byte-for-byte the old way: magic,
-  // u64 rank, u64 dims, float64 payload.
+  // u64 rank, u64 dims, float64 payload. Without the frame there is no CRC
+  // to trust, so it is refused as a non-frame.
   const std::vector<Real> data = {4.5, -1.0};
   {
     std::ofstream out(dir_ / "legacy.qgt", std::ios::binary);
@@ -209,9 +210,12 @@ TEST_F(IoTest, LegacyHeaderlessTensorStillLoads) {
     out.write(reinterpret_cast<const char*>(data.data()),
               static_cast<std::streamsize>(data.size() * sizeof(Real)));
   }
-  const LoadedTensor t = load_tensor(dir_ / "legacy.qgt");
-  EXPECT_EQ(t.shape, (std::vector<std::size_t>{2}));
-  EXPECT_EQ(t.data, data);
+  try {
+    (void)load_tensor(dir_ / "legacy.qgt");
+    FAIL();
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.kind(), FrameError::Kind::kBadMagic);
+  }
 }
 
 }  // namespace

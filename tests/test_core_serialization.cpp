@@ -134,5 +134,12 @@ TEST_F(SerializationTest, TrainFingerprintTracksHyperparameters) {
   EXPECT_EQ(train_fingerprint(base), train_fingerprint(knobs));
 }
 
+TEST_F(SerializationTest, DefaultTrainFingerprintIsStable) {
+  // Checkpoints already on disk resume only while the fingerprint of their
+  // config is unchanged; this literal is the default config's fingerprint
+  // as checkpoints written by earlier builds carry it.
+  EXPECT_EQ(train_fingerprint(TrainConfig{}), 0xa7210fe60ad65ac6ULL);
+}
+
 }  // namespace
 }  // namespace qugeo::core

@@ -1,7 +1,8 @@
 // Training loop: loss decreases on a learnable synthetic task, evaluation
-// metrics behave, QuBatch trains, epoch sharding is bit-identical across
-// thread counts and composes with checkpoint/resume and gradient fusion,
-// and the GradientPlan cache builds exactly once per run.
+// metrics behave, QuBatch trains, the data-parallel gradient fold is
+// bit-identical across thread counts and composes with checkpoint/resume
+// and gradient fusion, and the GradientPlan cache builds exactly once per
+// run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -127,15 +128,15 @@ TEST(Trainer, DeterministicGivenSeeds) {
     EXPECT_EQ(r1.curve[e].train_loss, r2.curve[e].train_loss);
 }
 
-// ------------------------------------------------------ epoch sharding --
+// ------------------------------------------------ data-parallel epochs --
 
-/// One full training run from fixed seeds under the given shard count.
+/// One full training run from fixed seeds under the default fold.
 struct RunOutput {
   TrainResult result;
   std::vector<Real> params;
 };
 
-RunOutput sharded_run(std::size_t grad_shards) {
+RunOutput default_run() {
   Rng rng(9);
   data::ScaledDataset ds = synthetic_dataset(12, 8, 3, 2, rng);
   const data::SplitView split = data::split_dataset(12, 9);
@@ -143,7 +144,6 @@ RunOutput sharded_run(std::size_t grad_shards) {
   tc.epochs = 4;
   tc.initial_lr = 0.05;
   tc.chunks_per_step = 4;
-  tc.grad_shards = grad_shards;
   Rng init(10);
   QuGeoModel model(tiny_model(DecoderKind::kLayer), init);
   RunOutput out{train_model(model, ds, split, tc), model.parameters()};
@@ -163,35 +163,27 @@ void expect_identical_runs(const RunOutput& a, const RunOutput& b) {
     EXPECT_EQ(a.params[k], b.params[k]) << "param " << k;
 }
 
-TEST(TrainerSharding, BitIdenticalAcrossThreadCounts) {
-  // The shard partition and both fold orders depend only on the config,
-  // never on the pool size: 1, 2 and 4 workers must produce the same bits.
+TEST(TrainerParallel, BitIdenticalAcrossThreadCounts) {
+  // The per-chunk gradient slots fold in chunk order whatever the pool
+  // size: 1, 2 and 4 workers must produce the same bits.
   const std::size_t before = num_threads();
   set_num_threads(1);
-  const RunOutput t1 = sharded_run(2);
+  const RunOutput t1 = default_run();
   set_num_threads(2);
-  const RunOutput t2 = sharded_run(2);
+  const RunOutput t2 = default_run();
   set_num_threads(4);
-  const RunOutput t4 = sharded_run(2);
+  const RunOutput t4 = default_run();
   set_num_threads(before);
   expect_identical_runs(t1, t2);
   expect_identical_runs(t1, t4);
 }
 
-TEST(TrainerSharding, OneChunkPerShardMatchesDefaultBitwise) {
-  // grad_shards = 0 keeps one slot per chunk (the pre-sharding layout);
-  // any shard count >= the group size degenerates to the same partition.
-  const RunOutput per_chunk = sharded_run(0);
-  const RunOutput capped = sharded_run(64);
-  expect_identical_runs(per_chunk, capped);
-}
-
-TEST(TrainerSharding, KillAndResumeBitIdenticalWithShardingAndGradFusion) {
-  // The PR 7 kill-and-resume harness with epoch sharding AND gradient
-  // fusion both active: a run killed mid-training and resumed from disk
-  // must match an uninterrupted run bit for bit.
+TEST(TrainerParallel, KillAndResumeBitIdenticalWithGradFusion) {
+  // The kill-and-resume harness with gradient fusion active and several
+  // chunks per step: a run killed mid-training and resumed from disk must
+  // match an uninterrupted run bit for bit.
   const auto dir = std::filesystem::temp_directory_path() /
-                   "qugeo_trainer_shard_resume";
+                   "qugeo_trainer_parallel_resume";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
@@ -203,7 +195,6 @@ TEST(TrainerSharding, KillAndResumeBitIdenticalWithShardingAndGradFusion) {
     tc.epochs = 5;
     tc.initial_lr = 0.05;
     tc.chunks_per_step = 4;
-    tc.grad_shards = 2;
     tc.checkpoint_path = dir / stem;
     tc.checkpoint_every = 1;
     return tc;
@@ -286,15 +277,6 @@ TEST(TrainerGradientPlan, FusionKnobBitIdenticalOnAllTrainableAnsatz) {
 
   EXPECT_EQ(loss_on, loss_off);
   EXPECT_EQ(g_on, g_off);
-}
-
-TEST(TrainerSharding, EnvOverrideParsesStrictly) {
-  ASSERT_EQ(setenv("QUGEO_GRAD_SHARDS", "3", 1), 0);
-  EXPECT_EQ(apply_train_env_overrides({}).grad_shards, 3u);
-  ASSERT_EQ(setenv("QUGEO_GRAD_SHARDS", "many", 1), 0);
-  EXPECT_THROW((void)apply_train_env_overrides({}), std::invalid_argument);
-  ASSERT_EQ(unsetenv("QUGEO_GRAD_SHARDS"), 0);
-  EXPECT_EQ(apply_train_env_overrides({}).grad_shards, 0u);
 }
 
 TEST(Evaluate, PerfectPredictionScoresOne) {

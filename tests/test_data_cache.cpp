@@ -1,9 +1,12 @@
-// Scaled-dataset serialization round trip and env-driven configuration.
+// Scaled-dataset serialization round trip, env-driven configuration, and
+// recovery from a corrupt cache entry.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 
+#include "common/fault.h"
 #include "data/cache.h"
 
 namespace qugeo::data {
@@ -44,6 +47,52 @@ TEST_F(CacheTest, SaveLoadRoundTrip) {
     EXPECT_EQ(back.samples[i].waveform, ds.samples[i].waveform);
     EXPECT_EQ(back.samples[i].velocity, ds.samples[i].velocity);
   }
+}
+
+void expect_same_samples(const ScaledDataset& a, const ScaledDataset& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.samples[i].waveform, b.samples[i].waveform) << "sample " << i;
+    EXPECT_EQ(a.samples[i].velocity, b.samples[i].velocity) << "sample " << i;
+  }
+}
+
+TEST_F(CacheTest, CorruptEntryIsRebuiltNotFatal) {
+  ExperimentDataConfig cfg;
+  cfg.num_samples = 3;
+  cfg.train_count = 2;
+  cfg.cnn_train_samples = 2;
+  cfg.cnn.epochs = 2;
+  cfg.cache_dir = dir_ / "experiment";
+  const ExperimentData first = load_or_build_experiment_data(cfg);
+
+  // Flip one payload byte of the Q-D-FW waveform tensor: its frame CRC no
+  // longer matches.
+  std::filesystem::path wave;
+  for (const auto& entry : std::filesystem::directory_iterator(cfg.cache_dir))
+    if (entry.path().string().ends_with("_qdfw.wave.qgt")) wave = entry.path();
+  ASSERT_FALSE(wave.empty());
+  {
+    std::fstream f(wave, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-8, std::ios::end);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    f.seekp(-8, std::ios::end);
+    f.write(&byte, 1);
+  }
+
+  fault::clear_degradation_events();
+  ExperimentData second;
+  EXPECT_NO_THROW(second = load_or_build_experiment_data(cfg));
+  const auto events = fault::degradation_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].component, "data.cache");
+  fault::clear_degradation_events();
+
+  expect_same_samples(second.dsample, first.dsample);
+  expect_same_samples(second.qdfw, first.qdfw);
+  expect_same_samples(second.qdcnn, first.qdcnn);
 }
 
 TEST_F(CacheTest, ExistsIsFalseForMissing) {

@@ -235,6 +235,37 @@ TEST(Backend, TrajectoryRunsAreThreadCountInvariant) {
   for (std::size_t k = 0; k < p1.size(); ++k) EXPECT_EQ(p1[k], p4[k]);
 }
 
+TEST(Backend, SingleTrajectoryIsOneSeededNoisyRun) {
+  // trajectories = 1 goes through the ordinary fan-out (one slot, folded
+  // once, scaled by 1): bitwise the probabilities of one run_circuit_noisy
+  // on sub-stream 0.
+  Rng rng(6);
+  const Circuit c = random_circuit(3, 12, rng);
+  const StateVector psi_in = random_state(3, rng);
+  for (const NoiseChannel channel :
+       {NoiseChannel::kDepolarizing, NoiseChannel::kAmplitudeDamping}) {
+    ExecutionConfig cfg;
+    cfg.backend = BackendKind::kTrajectory;
+    cfg.noise.gate_error_prob = 0.2;
+    cfg.noise.channel = channel;
+    cfg.trajectories = 1;
+    cfg.seed = 23;
+    TrajectoryBackend backend(cfg);
+    backend.run(c, {}, psi_in);
+    const auto got = backend.probabilities();
+
+    StateVector psi = psi_in;
+    Rng traj = trajectory_rng(cfg.seed, 0);
+    run_circuit_noisy(c, {}, psi, cfg.noise, traj);
+    const auto want = psi.probabilities();
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k)
+      EXPECT_EQ(got[k], want[k])
+          << noise_channel_name(channel) << " outcome " << k;
+  }
+}
+
 TEST(Backend, PrepareResetsToGroundState) {
   const ExecutionConfig cfg;
   for (const auto make : {+[](const ExecutionConfig& c) -> std::unique_ptr<Backend> {

@@ -11,14 +11,12 @@
 #include <vector>
 
 #include "common/cpu_features.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/model.h"
 #include "qsim/backend.h"
 #include "qsim/batched_executor.h"
 #include "qsim/batched_statevector.h"
 #include "qsim/executor.h"
-#include "qsim/noise.h"
 #include "qsim/optimizer.h"
 
 namespace qugeo::qsim {
@@ -208,58 +206,6 @@ TEST(BatchedExecutor, Avx2MatchesLoopedWithinTolerance) {
   }
 }
 
-TEST(BatchedExecutor, NoisyBatchedMatchesLoopedPerLaneBitExact) {
-  // Per-lane RNG objects replay the exact draw sequence of the looped
-  // trajectories, so batched noisy execution is bit-identical in scalar
-  // mode — including the readout flips.
-  const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
-  Rng rng(45);
-  const Index nq = 4;
-  const std::size_t lanes = 4;
-  const Circuit c = frozen_test_circuit(nq, rng);
-  NoiseModel noise;
-  noise.gate_error_prob = 0.2;
-  noise.channel = NoiseChannel::kDepolarizing;
-  noise.readout_error = 0.1;
-  ASSERT_TRUE(noise_is_batchable(noise));
-
-  BatchedStateVector batch(nq, lanes);
-  std::vector<StateVector> looped;
-  std::vector<Rng> batch_rngs;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const auto amps = random_amplitudes(Index{1} << nq, rng);
-    batch.set_lane(l, amps);
-    looped.emplace_back(nq);
-    looped.back().set_amplitudes(amps);
-    batch_rngs.push_back(trajectory_rng(7, l));
-  }
-  run_circuit_noisy_batched(c, {}, batch, noise, batch_rngs);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    Rng traj = trajectory_rng(7, l);
-    run_circuit_noisy(c, {}, looped[l], noise, traj);
-  }
-  expect_lanes_bitwise(batch, looped, "noisy batch");
-}
-
-TEST(BatchedExecutor, GeneralizedChannelsAreNotBatchable) {
-  NoiseModel damping;
-  damping.gate_error_prob = 0.05;
-  damping.channel = NoiseChannel::kAmplitudeDamping;
-  EXPECT_FALSE(noise_is_batchable(damping));
-
-  NoiseModel readout_only;
-  readout_only.readout_error = 0.02;
-  EXPECT_TRUE(noise_is_batchable(readout_only));
-
-  // The batched noisy entry point refuses what it cannot reproduce.
-  Rng rng(46);
-  const Circuit c = frozen_test_circuit(3, rng);
-  BatchedStateVector batch(3, 2);
-  std::vector<Rng> rngs{trajectory_rng(1, 0), trajectory_rng(1, 1)};
-  EXPECT_THROW(run_circuit_noisy_batched(c, {}, batch, damping, rngs),
-               std::invalid_argument);
-}
-
 TEST(BatchedBackend, StatevectorOverrideMatchesBaseLoop) {
   const Index nq = 5;
   Rng rng(47);
@@ -285,69 +231,6 @@ TEST(BatchedBackend, StatevectorOverrideMatchesBaseLoop) {
     for (std::size_t k = 0; k < want.size(); ++k)
       EXPECT_EQ(batched[i][k], want[k]) << "state " << i << " outcome " << k;
   }
-}
-
-TEST(BatchedBackend, TrajectoryGroupingIsBitIdentical) {
-  // TrajectoryBackend with batch > 1 groups trajectories into SoA lanes;
-  // the fixed-order fold must keep the averaged probabilities bit-identical
-  // to the unbatched backend for any group width, including ragged groups
-  // (10 trajectories at width 4 -> groups of 4, 4, 2 per slot stride).
-  Rng rng(48);
-  const Index nq = 4;
-  const Circuit c = frozen_test_circuit(nq, rng);
-
-  const auto run_with_batch = [&](std::size_t batch) {
-    ExecutionConfig cfg;
-    cfg.backend = BackendKind::kTrajectory;
-    cfg.trajectories = 10;
-    cfg.seed = 99;
-    cfg.batch = batch;
-    cfg.simd = simd::SimdMode::kScalar;
-    cfg.noise.gate_error_prob = 0.1;
-    cfg.noise.readout_error = 0.05;
-    const auto backend = make_backend(cfg, nq);
-    backend->run(c, {});
-    return backend->probabilities();
-  };
-
-  const auto unbatched = run_with_batch(1);
-  for (std::size_t batch : {2u, 4u, 8u, 16u}) {
-    const auto got = run_with_batch(batch);
-    ASSERT_EQ(got.size(), unbatched.size());
-    for (std::size_t k = 0; k < got.size(); ++k)
-      EXPECT_EQ(got[k], unbatched[k]) << "batch " << batch << " outcome " << k;
-  }
-}
-
-TEST(BatchedBackend, ThreadPoolInteraction) {
-  // Batched trajectory groups fanned across a 4-worker pool must still
-  // fold bit-identically (per-trajectory RNG streams + fixed-order fold).
-  const std::size_t saved = num_threads();
-  set_num_threads(4);
-  Rng rng(49);
-  const Index nq = 4;
-  const Circuit c = frozen_test_circuit(nq, rng);
-  ExecutionConfig cfg;
-  cfg.backend = BackendKind::kTrajectory;
-  cfg.trajectories = 12;
-  cfg.seed = 5;
-  cfg.simd = simd::SimdMode::kScalar;
-  cfg.noise.gate_error_prob = 0.1;
-
-  cfg.batch = 1;
-  const auto b1 = make_backend(cfg, nq);
-  b1->run(c, {});
-  const auto unbatched = b1->probabilities();
-
-  cfg.batch = 4;
-  const auto b4 = make_backend(cfg, nq);
-  b4->run(c, {});
-  const auto batched = b4->probabilities();
-
-  set_num_threads(saved);
-  ASSERT_EQ(batched.size(), unbatched.size());
-  for (std::size_t k = 0; k < batched.size(); ++k)
-    EXPECT_EQ(batched[k], unbatched[k]) << "outcome " << k;
 }
 
 TEST(BatchedModel, PredictBatchedMatchesUnbatchedWithRaggedTail) {

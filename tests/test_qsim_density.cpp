@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "qsim/backend.h"
 #include "qsim/density_matrix.h"
 #include "qsim/encoding.h"
 #include "qsim/executor.h"
@@ -109,8 +110,14 @@ TEST(DensityMatrix, TrajectoryAverageConvergesToExactChannel) {
   run_circuit_density(c, {}, rho, p);
 
   const std::vector<Index> qubits = {0, 1};
-  const auto z_traj = noisy_expect_z(c, {}, StateVector(2), qubits,
-                                     NoiseModel{p}, 3, 4000);
+  ExecutionConfig cfg;
+  cfg.backend = BackendKind::kTrajectory;
+  cfg.noise = NoiseModel{p};
+  cfg.seed = 3;
+  cfg.trajectories = 4000;
+  const auto traj = make_backend(cfg, 2);
+  traj->run(c, {});
+  const auto z_traj = traj->expect_z(qubits);
   EXPECT_NEAR(z_traj[0], rho.expect_z(0), 0.05);
   EXPECT_NEAR(z_traj[1], rho.expect_z(1), 0.05);
 }

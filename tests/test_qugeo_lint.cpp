@@ -108,25 +108,15 @@ TEST(QugeoLint, UntestedSimdKernelFails) {
   EXPECT_EQ(violations.size(), 1u) << render(violations);
 }
 
-TEST(QugeoLint, UnroutedExecutionConfigKnobFails) {
+TEST(QugeoLint, LenientEnvParserFails) {
   const auto violations =
-      check_execution_config_env(fixture("unrouted_env_knob"));
-  // beta has no base.beta assignment in apply_env_overrides.
-  EXPECT_TRUE(any_violation(violations, "execution-config-env",
-                            "`beta` is never assigned"))
-      << render(violations);
-  // delta is routed, but through a lenient C parser.
+      check_execution_config_env(fixture("lenient_env_parser"));
+  // delta is parsed with a lenient C parser; alpha, parsed strictly, is
+  // clean.
   EXPECT_TRUE(
       any_violation(violations, "execution-config-env", "lenient `strtoul`"))
       << render(violations);
-  // echo is routed strictly but has no docs env-table row.
-  EXPECT_TRUE(any_violation(violations, "execution-config-env",
-                            "`echo` has no `QUGEO_ECHO`"))
-      << render(violations);
-  // The clean field and the waived field produce nothing.
-  EXPECT_FALSE(any_violation(violations, "execution-config-env", "`alpha`"));
-  EXPECT_FALSE(any_violation(violations, "execution-config-env", "`gamma`"));
-  EXPECT_EQ(violations.size(), 3u) << render(violations);
+  EXPECT_EQ(violations.size(), 1u) << render(violations);
 }
 
 TEST(QugeoLint, NegativeFixturesAreCleanElsewhere) {
@@ -150,24 +140,23 @@ TEST(QugeoLint, NegativeFixturesAreCleanElsewhere) {
   EXPECT_TRUE(check_determinism(fixture("untested_simd")).empty());
   EXPECT_TRUE(check_gatekind_dispatch(fixture("untested_simd")).empty());
   EXPECT_TRUE(check_fault_site_coverage(fixture("untested_simd")).empty());
-  // Check 7 no-ops on every tree without the real ExecutionConfig struct...
+  // Check 7 no-ops on every tree without an apply_env_overrides body...
   EXPECT_TRUE(check_execution_config_env(fixture("missing_gatekind")).empty());
   EXPECT_TRUE(check_execution_config_env(fixture("undocumented_env")).empty());
   EXPECT_TRUE(check_execution_config_env(fixture("uses_rand")).empty());
   EXPECT_TRUE(
       check_execution_config_env(fixture("untested_fault_site")).empty());
   EXPECT_TRUE(check_execution_config_env(fixture("untested_simd")).empty());
-  // ...and the check-7 fixture stays clean under the structural checks.
-  // (check_env_var_docs is intentionally not asserted on it: its docs
-  // table names QUGEO_BETA precisely because nothing routes it.)
-  EXPECT_TRUE(check_gatekind_dispatch(fixture("unrouted_env_knob")).empty());
-  EXPECT_TRUE(check_determinism(fixture("unrouted_env_knob")).empty());
+  // ...and the check-7 fixture stays clean under every other check.
+  EXPECT_TRUE(check_gatekind_dispatch(fixture("lenient_env_parser")).empty());
+  EXPECT_TRUE(check_env_var_docs(fixture("lenient_env_parser")).empty());
+  EXPECT_TRUE(check_determinism(fixture("lenient_env_parser")).empty());
   EXPECT_TRUE(
-      check_fault_site_coverage(fixture("unrouted_env_knob")).empty());
+      check_fault_site_coverage(fixture("lenient_env_parser")).empty());
   EXPECT_TRUE(
-      check_simd_scalar_equivalence(fixture("unrouted_env_knob")).empty());
+      check_simd_scalar_equivalence(fixture("lenient_env_parser")).empty());
   EXPECT_TRUE(
-      check_bench_micro_registration(fixture("unrouted_env_knob")).empty());
+      check_bench_micro_registration(fixture("lenient_env_parser")).empty());
 }
 
 TEST(QugeoLint, RealRepositoryTreeIsClean) {

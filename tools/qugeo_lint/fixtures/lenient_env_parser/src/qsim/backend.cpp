@@ -10,9 +10,5 @@ ExecutionConfig apply_env_overrides(ExecutionConfig base) {
   }
   if (const char* v = std::getenv("QUGEO_DELTA"))
     base.delta = std::strtoul(v, nullptr, 10);
-  if (const char* v = std::getenv("QUGEO_ECHO")) {
-    if (*v < '0' || *v > '9') throw std::invalid_argument("QUGEO_ECHO");
-    base.echo = static_cast<std::size_t>(*v - '0');
-  }
   return base;
 }

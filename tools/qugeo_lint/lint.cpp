@@ -535,65 +535,8 @@ std::vector<Violation> check_simd_scalar_equivalence_impl(const fs::path& root) 
 }
 
 // ---------------------------------------------------------------------------
-// Check 7: ExecutionConfig env routing
+// Check 7: strict ExecutionConfig env parsing
 // ---------------------------------------------------------------------------
-
-struct ConfigField {
-  std::string name;
-  std::size_t line;
-  bool waived;
-};
-
-/// Fields of `struct ExecutionConfig { ... };` in the given header. A
-/// field's name is the last identifier of its declarator (before any `=`
-/// initializer), which survives qualified types and templates
-/// (`std::shared_ptr<T> compile_cache`). The waiver marker is read from
-/// the RAW text of the span between the previous `;` and the field's own
-/// — i.e. its declaration line plus the doc comment block above it —
-/// which works because strip_comments preserves text length, so stripped
-/// positions index straight into the raw file.
-std::vector<ConfigField> parse_execution_config_fields(const fs::path& header) {
-  std::vector<ConfigField> fields;
-  if (!fs::exists(header)) return fields;
-  const std::string raw = read_file(header);
-  const std::string text = strip_comments(raw, false);
-  const std::size_t decl = text.find("struct ExecutionConfig");
-  if (decl == std::string::npos) return fields;
-  const std::size_t open = text.find('{', decl);
-  if (open == std::string::npos) return fields;
-  const std::size_t close = match_brace(text, open);
-  if (close == std::string::npos) return fields;
-
-  std::size_t stmt_begin = open + 1;
-  for (std::size_t i = open + 1; i + 1 < close; ++i) {
-    if (text[i] != ';') continue;
-    const std::string stmt = text.substr(stmt_begin, i - stmt_begin);
-    const std::string head = stmt.substr(0, std::min(stmt.find('='), stmt.size()));
-    std::string name;
-    std::size_t name_at = 0;
-    for (std::size_t k = 0; k < head.size();) {
-      if (!is_ident(head[k])) {
-        ++k;
-        continue;
-      }
-      std::size_t tok_end = k;
-      while (tok_end < head.size() && is_ident(head[tok_end])) ++tok_end;
-      name = head.substr(k, tok_end - k);
-      name_at = stmt_begin + k;
-      k = tok_end;
-    }
-    // Skip non-field statements (member functions, using-declarations).
-    if (!name.empty() && head.find('(') == std::string::npos &&
-        head.find("using ") == std::string::npos) {
-      const std::string region = raw.substr(stmt_begin, i - stmt_begin);
-      fields.push_back(
-          {name, line_of(text, name_at),
-           region.find("qugeo-lint: no-env(") != std::string::npos});
-    }
-    stmt_begin = i + 1;
-  }
-  return fields;
-}
 
 /// Parsers check 7 bans inside apply_env_overrides: locale-dependent or
 /// silently-saturating, where common/env.h throws on any malformed text.
@@ -604,11 +547,6 @@ constexpr const char* kLenientParsers[] = {
 
 std::vector<Violation> check_execution_config_env_impl(const fs::path& root) {
   std::vector<Violation> out;
-  const fs::path header = root / "src" / "qsim" / "backend.h";
-  const auto fields = parse_execution_config_fields(header);
-  if (fields.empty()) return out;  // tree without the struct: nothing to do
-  const std::string header_rel = rel(header, root);
-
   // The apply_env_overrides DEFINITION body in backend.cpp: the first
   // `apply_env_overrides` occurrence whose next `{`/`;` is a `{` (call
   // sites and declarations hit `;` first and are skipped).
@@ -630,53 +568,6 @@ std::vector<Violation> check_execution_config_env_impl(const fs::path& root) {
       }
     }
     fn += 1;
-  }
-
-  const std::set<std::string> doc_vars =
-      env_vars_in_docs(root / "docs" / "ARCHITECTURE.md");
-
-  for (const ConfigField& field : fields) {
-    if (field.waived) continue;
-    const std::string where =
-        header_rel + ":" + std::to_string(field.line);
-
-    // Routed: `base.<field>` appears as a whole token in the body.
-    const std::string needle = "base." + field.name;
-    std::size_t at = 0;
-    bool routed = false;
-    while ((at = body.find(needle, at)) != std::string::npos) {
-      const std::size_t past = at + needle.size();
-      if (past >= body.size() || !is_ident(body[past])) {
-        routed = true;
-        break;
-      }
-      at = past;
-    }
-    if (!routed)
-      out.push_back(
-          {"execution-config-env", where,
-           "ExecutionConfig field `" + field.name +
-               "` is never assigned (`base." + field.name +
-               "`) in apply_env_overrides (backend.cpp); every execution "
-               "knob needs a QUGEO_* override routed through the strict "
-               "common/env.h parsers, or a `qugeo-lint: no-env(<reason>)` "
-               "waiver on its declaration"});
-
-    // Documented: a `QUGEO_<FIELD>` (or `QUGEO_<FIELD>_*`) row exists in
-    // the ARCHITECTURE.md env table.
-    std::string upper = "QUGEO_";
-    for (char c : field.name)
-      upper += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    const bool documented = std::any_of(
-        doc_vars.begin(), doc_vars.end(), [&](const std::string& var) {
-          return var == upper || var.rfind(upper + "_", 0) == 0;
-        });
-    if (!documented)
-      out.push_back(
-          {"execution-config-env", where,
-           "ExecutionConfig field `" + field.name + "` has no `" + upper +
-               "` (or `" + upper +
-               "_*`) row in the docs/ARCHITECTURE.md environment table"});
   }
 
   // Strictness: no lenient C parser anywhere in the override body.

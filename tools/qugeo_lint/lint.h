@@ -30,16 +30,10 @@
 //     kernels carry a <= 1e-12-per-amplitude contract against their scalar
 //     twins, and a vector kernel nobody compares is a silent-corruption
 //     risk on the exact hardware CI does not cover.
-//  7. ExecutionConfig env routing — every field of `struct
-//     ExecutionConfig` (src/qsim/backend.h) must be assigned
-//     (`base.<field>`) inside apply_env_overrides in backend.cpp, have a
-//     matching `QUGEO_<FIELD>` (or `QUGEO_<FIELD>_*`) row in the
-//     docs/ARCHITECTURE.md environment table, and never be parsed with a
-//     lenient C parser (strtoul/atoi/...) — the throwing common/env.h
-//     parsers only. A field may opt out with a `qugeo-lint:
-//     no-env(<reason>)` comment on its declaration or doc comment. A
-//     config knob without an env override cannot be flipped in CI legs or
-//     prod smoke runs, which is how ablation coverage silently rots.
+//  7. Strict ExecutionConfig env parsing — apply_env_overrides in
+//     src/qsim/backend.cpp must never parse an override with a lenient C
+//     parser (strtoul/atoi/stod/...), only the throwing common/env.h
+//     parsers: a lenient parser turns a typo into a silent 0.
 //
 // Exposed as a library so the fixture-based tests (tests/
 // test_qugeo_lint.cpp) can run each check against known-bad trees; the
@@ -90,9 +84,8 @@ struct Violation {
 [[nodiscard]] std::vector<Violation> check_simd_scalar_equivalence(
     const std::filesystem::path& repo_root);
 
-/// Check 7: every ExecutionConfig field is env-routed through
-/// apply_env_overrides with a strict parser and documented in the
-/// docs/ARCHITECTURE.md env table (or carries a no-env waiver).
+/// Check 7: apply_env_overrides (src/qsim/backend.cpp) uses no lenient
+/// C parser.
 [[nodiscard]] std::vector<Violation> check_execution_config_env(
     const std::filesystem::path& repo_root);
 
