@@ -1,12 +1,16 @@
 // Microbenchmarks of the learning pipeline: one training step (forward +
 // adjoint backward + Adam) for each decoder and QuBatch size, one CNN
-// baseline step, and SSIM evaluation throughput.
+// baseline step, one Q-D-CNN compressor step, and SSIM evaluation
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
 
 #include "core/classical_baseline.h"
 #include "core/model.h"
+#include "data/cnn_scaler.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
 #include "metrics/image_metrics.h"
 
 namespace {
@@ -90,6 +94,32 @@ void BM_CnnBaselineStep(benchmark::State& state) {
                           static_cast<std::int64_t>(ds.samples.size()));
 }
 BENCHMARK(BM_CnnBaselineStep)->Unit(benchmark::kMicrosecond);
+
+void BM_CnnScalerStep(benchmark::State& state) {
+  // One Q-D-CNN compressor training step at data::train_cnn_scaler's
+  // default shapes: a 1x64x16 decimated gather to the 1x32x8 = 256-value
+  // quantum-scale waveform, forward + MSE + backward + Adam.
+  Rng rng(6);
+  const data::CnnScalerConfig cfg;
+  const data::ScaleTarget scale;
+  const std::size_t out_dim = scale.nsrc * scale.nt * scale.nrec;
+  const auto net = data::make_compressor_net(scale.nsrc, cfg.input_time_rows,
+                                             cfg.input_rec_cols, out_dim, rng);
+  nn::Tensor x({1, scale.nsrc, cfg.input_time_rows, cfg.input_rec_cols});
+  nn::Tensor target({1, out_dim});
+  rng.fill_uniform(x.data_mut(), -1, 1);
+  rng.fill_uniform(target.data_mut(), -1, 1);
+  nn::Adam opt(net->params());
+  for (auto _ : state) {
+    opt.zero_grad();
+    const nn::LossResult loss = nn::mse_loss(net->forward(x), target);
+    (void)net->backward(loss.grad);
+    opt.step(cfg.initial_lr);
+    benchmark::DoNotOptimize(loss.value);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CnnScalerStep)->Unit(benchmark::kMicrosecond);
 
 void BM_Ssim8x8(benchmark::State& state) {
   Rng rng(4);

@@ -33,9 +33,13 @@ nn::Tensor decimate_raw(const seismic::SeismicData& seismic,
   return x;
 }
 
-std::shared_ptr<nn::Sequential> build_net(std::size_t in_ch, std::size_t rows,
-                                          std::size_t cols, std::size_t out_dim,
-                                          Rng& rng) {
+}  // namespace
+
+std::shared_ptr<nn::Sequential> make_compressor_net(std::size_t in_ch,
+                                                   std::size_t rows,
+                                                   std::size_t cols,
+                                                   std::size_t out_dim,
+                                                   Rng& rng) {
   auto net = std::make_shared<nn::Sequential>();
   net->emplace<nn::Conv2d>(in_ch, 8, 3, 1, 1, rng);
   net->emplace<nn::ReLU>();
@@ -48,8 +52,6 @@ std::shared_ptr<nn::Sequential> build_net(std::size_t in_ch, std::size_t rows,
   net->emplace<nn::Linear>(flat, out_dim, rng);
   return net;
 }
-
-}  // namespace
 
 std::vector<Real> CnnScaler::compress(const seismic::SeismicData& seismic) const {
   const nn::Tensor x = decimate_raw(seismic, target_.nsrc, config_.input_time_rows,
@@ -83,8 +85,8 @@ CnnScaler train_cnn_scaler(const RawDataset& train_set, const ScaleTarget& targe
   scaler.input_scale_ = max_abs > 0 ? Real(1) / max_abs : Real(1);
 
   const std::size_t out_dim = target.nsrc * target.nt * target.nrec;
-  scaler.net_ = build_net(target.nsrc, config.input_time_rows,
-                          config.input_rec_cols, out_dim, rng);
+  scaler.net_ = make_compressor_net(target.nsrc, config.input_time_rows,
+                                    config.input_rec_cols, out_dim, rng);
 
   // Targets: physics-guided waveforms, L2-normalized per sample (the
   // quantum encoder normalizes anyway, so this is the natural gauge).

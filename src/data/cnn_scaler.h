@@ -25,6 +25,13 @@ struct CnnScalerConfig {
   std::size_t batch_size = 8;
 };
 
+/// The compressor network: Conv(in_ch->8, 3x3) ReLU MaxPool(2),
+/// Conv(8->8, 3x3) ReLU MaxPool(2), Flatten, Linear(8*(rows/4)*(cols/4) ->
+/// out_dim), over [N, in_ch, rows, cols] inputs.
+[[nodiscard]] std::shared_ptr<nn::Sequential> make_compressor_net(
+    std::size_t in_ch, std::size_t rows, std::size_t cols, std::size_t out_dim,
+    Rng& rng);
+
 /// Learned compressor; construct via train_cnn_scaler.
 class CnnScaler final : public Scaler {
  public:

@@ -1,5 +1,11 @@
 // Layers with explicit forward/backward passes (reverse-mode autodiff by
-// hand — the networks are LeNet-scale so naive loops are the right tool).
+// hand). The networks are LeNet-scale, so Conv2d and Linear are direct
+// loops rather than im2col/GEMM: they walk raw data() pointers over kernel
+// tap ranges computed once per output row and column, and accumulate every
+// output and gradient element in the order of the textbook per-tap loops,
+// which makes them bit-identical to those loops in builds without FMA
+// contraction (the default x86-64 build); where the compiler may fuse a
+// multiply-add, whether it does depends on the loop shape.
 #pragma once
 
 #include <memory>
@@ -29,7 +35,10 @@ class Layer {
   [[nodiscard]] std::size_t param_count();
 };
 
-/// 2-D convolution over [N, C, H, W] with zero padding.
+/// 2-D convolution over [N, C, H, W] with zero padding. forward() throws
+/// std::invalid_argument when the kernel exceeds the padded input;
+/// backward() throws it when called before forward() or with a grad_out
+/// whose shape is not the last forward output's.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -48,7 +57,9 @@ class Conv2d final : public Layer {
   Tensor input_;
 };
 
-/// Fully connected layer over [N, F].
+/// Fully connected layer over [N, F]. backward() throws
+/// std::invalid_argument when called before forward() or with a grad_out
+/// whose shape is not the last forward output's.
 class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng);
@@ -88,7 +99,9 @@ class Sigmoid final : public Layer {
   Tensor output_;
 };
 
-/// Max pooling over [N, C, H, W] with square window and equal stride.
+/// Max pooling over [N, C, H, W] with square window and equal stride. A
+/// window with no value above -inf (all -inf or NaN) outputs -inf and
+/// routes its gradient to its own first cell.
 class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t kernel);

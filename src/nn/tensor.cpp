@@ -23,23 +23,6 @@ Tensor::Tensor(std::vector<std::size_t> shape, std::vector<Real> data)
     throw std::invalid_argument("Tensor: data size does not match shape");
 }
 
-Real Tensor::at4(std::size_t n, std::size_t c, std::size_t h,
-                 std::size_t w) const {
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-Real& Tensor::at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-Real Tensor::at2(std::size_t n, std::size_t f) const {
-  return data_[n * shape_[1] + f];
-}
-
-Real& Tensor::at2(std::size_t n, std::size_t f) {
-  return data_[n * shape_[1] + f];
-}
-
 Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {
   if (shape_numel(new_shape) != numel())
     throw std::invalid_argument("Tensor::reshaped: numel mismatch");

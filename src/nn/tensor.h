@@ -1,9 +1,11 @@
 // Minimal dense row-major tensor for the classical NN substrate.
 //
-// Scope is deliberately narrow: the QuGeo CNNs are tiny (hundreds of
-// parameters), so clarity beats BLAS here. Shapes follow the PyTorch
-// conventions used by the paper's baselines: [N, C, H, W] for images and
-// [N, F] for fully-connected activations.
+// Scope is deliberately narrow: the QuGeo CNNs are small (the largest, the
+// Q-D-CNN compressor, has ~1.3e5 parameters), so plain loops serve. Shapes
+// follow the PyTorch conventions used by the paper's baselines:
+// [N, C, H, W] for images and [N, F] for fully-connected activations.
+// The element accessors are inline and unchecked; the layers' hot loops
+// index data() directly.
 #pragma once
 
 #include <cstddef>
@@ -35,12 +37,18 @@ class Tensor {
 
   /// 4-D accessor for [N, C, H, W] tensors.
   [[nodiscard]] Real at4(std::size_t n, std::size_t c, std::size_t h,
-                         std::size_t w) const;
-  Real& at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w);
+                         std::size_t w) const {
+    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+  }
+  Real& at4(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
+    return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
+  }
 
   /// 2-D accessor for [N, F] tensors.
-  [[nodiscard]] Real at2(std::size_t n, std::size_t f) const;
-  Real& at2(std::size_t n, std::size_t f);
+  [[nodiscard]] Real at2(std::size_t n, std::size_t f) const {
+    return data_[n * shape_[1] + f];
+  }
+  Real& at2(std::size_t n, std::size_t f) { return data_[n * shape_[1] + f]; }
 
   /// Same data, different shape (numel must match).
   [[nodiscard]] Tensor reshaped(std::vector<std::size_t> new_shape) const;

@@ -131,6 +131,12 @@ void propagate_impl(const VelocityModel& model, const GridPos& source,
   const bool use_avx2 =
       simd::active_level() == simd::SimdLevel::kAvx2;
 
+  // Cerjan sponge, folded into the sweep: with w = damp_z * damp_x per
+  // cell, the previous level is damped as it is read and the new level as
+  // it is stored, pn = (2 p - pp w + c^2 dt^2 lap) w. This equals damping
+  // both levels in place after the update: interior cells have w == 1
+  // (so x * w == x exactly), the source cell is interior, and zeroing the
+  // free surface commutes with the damping.
   for (std::size_t step = 0; step < cfg.nt; ++step) {
     parallel_for_chunked(0, dom.nz_c, row_grain,
                          [&, use_avx2](std::size_t z0, std::size_t z1) {
@@ -139,9 +145,10 @@ void propagate_impl(const VelocityModel& model, const GridPos& source,
         const Real* pp = p_prev.data() + dom.cell(iz_c, 0);
         Real* pn = p_next.data() + dom.cell(iz_c, 0);
         const Real* cc = c2.data() + iz_c * dom.nx_c;
+        const Real wz = damp_z[iz_c];
         if (use_avx2) {
-          fdtd_row_avx2(Halo, stc.data(), pr, pp, pn, cc, dom.nx_c,
-                        dom.stride, inv_dz2, inv_dx2, dt2);
+          fdtd_row_avx2(Halo, stc.data(), pr, pp, pn, cc, wz, damp_x.data(),
+                        dom.nx_c, dom.stride, inv_dz2, inv_dx2, dt2);
           continue;
         }
         for (std::size_t ix_c = 0; ix_c < dom.nx_c; ++ix_c) {
@@ -153,7 +160,8 @@ void propagate_impl(const VelocityModel& model, const GridPos& source,
             lap += stc[k] *
                    ((pc[kk] + pc[-kk]) * inv_dx2 + (pc[ks] + pc[-ks]) * inv_dz2);
           }
-          pn[ix_c] = 2 * pc[0] - pp[ix_c] + cc[ix_c] * dt2 * lap;
+          const Real w = wz * damp_x[ix_c];
+          pn[ix_c] = (2 * pc[0] - pp[ix_c] * w + cc[ix_c] * dt2 * lap) * w;
         }
       }
     });
@@ -165,22 +173,6 @@ void propagate_impl(const VelocityModel& model, const GridPos& source,
       Real* top = p_next.data() + dom.cell(0, 0);
       for (std::size_t ix_c = 0; ix_c < dom.nx_c; ++ix_c) top[ix_c] = 0;
     }
-
-    // Damp both time levels inside the sponge pads (Cerjan scheme).
-    parallel_for_chunked(0, dom.nz_c, row_grain, [&](std::size_t z0, std::size_t z1) {
-      for (std::size_t iz_c = z0; iz_c < z1; ++iz_c) {
-        const Real wz = damp_z[iz_c];
-        Real* pn = p_next.data() + dom.cell(iz_c, 0);
-        Real* pr = p.data() + dom.cell(iz_c, 0);
-        for (std::size_t ix_c = 0; ix_c < dom.nx_c; ++ix_c) {
-          const Real w = wz * damp_x[ix_c];
-          if (w != Real(1)) {
-            pn[ix_c] *= w;
-            pr[ix_c] *= w;
-          }
-        }
-      }
-    });
 
     std::swap(p_prev, p);
     std::swap(p, p_next);

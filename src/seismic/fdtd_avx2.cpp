@@ -14,13 +14,15 @@ namespace {
 /// tail keeps the scalar sweep's exact expression shape.
 template <std::size_t Halo>
 void row_kernel(const Real* stc, const Real* pc_row, const Real* pp_row,
-                Real* pn_row, const Real* cc_row, std::size_t nx,
-                std::size_t stride, Real inv_dz2, Real inv_dx2, Real dt2) {
+                Real* pn_row, const Real* cc_row, Real damp_z,
+                const Real* damp_x, std::size_t nx, std::size_t stride,
+                Real inv_dz2, Real inv_dx2, Real dt2) {
   const __m256d vdx2 = _mm256_set1_pd(inv_dx2);
   const __m256d vdz2 = _mm256_set1_pd(inv_dz2);
   const __m256d vsum = _mm256_set1_pd(inv_dz2 + inv_dx2);
   const __m256d vdt2 = _mm256_set1_pd(dt2);
   const __m256d vtwo = _mm256_set1_pd(2.0);
+  const __m256d vdz = _mm256_set1_pd(damp_z);
   std::size_t ix = 0;
   for (; ix + 4 <= nx; ix += 4) {
     const Real* pc = pc_row + ix;
@@ -38,11 +40,12 @@ void row_kernel(const Real* stc, const Real* pc_row, const Real* pp_row,
                                          _mm256_mul_pd(vert, vdz2));
       lap = _mm256_fmadd_pd(_mm256_set1_pd(stc[k]), term, lap);
     }
+    const __m256d w = _mm256_mul_pd(vdz, _mm256_loadu_pd(damp_x + ix));
     const __m256d update = _mm256_add_pd(
-        _mm256_sub_pd(_mm256_mul_pd(vtwo, center),
-                      _mm256_loadu_pd(pp_row + ix)),
+        _mm256_fnmadd_pd(_mm256_loadu_pd(pp_row + ix), w,
+                         _mm256_mul_pd(vtwo, center)),
         _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(cc_row + ix), vdt2), lap));
-    _mm256_storeu_pd(pn_row + ix, update);
+    _mm256_storeu_pd(pn_row + ix, _mm256_mul_pd(update, w));
   }
   for (; ix < nx; ++ix) {
     const Real* pc = pc_row + ix;
@@ -53,7 +56,8 @@ void row_kernel(const Real* stc, const Real* pc_row, const Real* pp_row,
       lap += stc[k] *
              ((pc[kk] + pc[-kk]) * inv_dx2 + (pc[ks] + pc[-ks]) * inv_dz2);
     }
-    pn_row[ix] = 2 * pc[0] - pp_row[ix] + cc_row[ix] * dt2 * lap;
+    const Real w = damp_z * damp_x[ix];
+    pn_row[ix] = (2 * pc[0] - pp_row[ix] * w + cc_row[ix] * dt2 * lap) * w;
   }
 }
 
@@ -61,20 +65,20 @@ void row_kernel(const Real* stc, const Real* pc_row, const Real* pp_row,
 
 void fdtd_row_avx2(std::size_t halo, const Real* stc, const Real* pc_row,
                    const Real* pp_row, Real* pn_row, const Real* cc_row,
-                   std::size_t nx, std::size_t stride, Real inv_dz2,
-                   Real inv_dx2, Real dt2) {
+                   Real damp_z, const Real* damp_x, std::size_t nx,
+                   std::size_t stride, Real inv_dz2, Real inv_dx2, Real dt2) {
   switch (halo) {
     case 1:
-      row_kernel<1>(stc, pc_row, pp_row, pn_row, cc_row, nx, stride, inv_dz2,
-                    inv_dx2, dt2);
+      row_kernel<1>(stc, pc_row, pp_row, pn_row, cc_row, damp_z, damp_x, nx,
+                    stride, inv_dz2, inv_dx2, dt2);
       return;
     case 2:
-      row_kernel<2>(stc, pc_row, pp_row, pn_row, cc_row, nx, stride, inv_dz2,
-                    inv_dx2, dt2);
+      row_kernel<2>(stc, pc_row, pp_row, pn_row, cc_row, damp_z, damp_x, nx,
+                    stride, inv_dz2, inv_dx2, dt2);
       return;
     case 4:
-      row_kernel<4>(stc, pc_row, pp_row, pn_row, cc_row, nx, stride, inv_dz2,
-                    inv_dx2, dt2);
+      row_kernel<4>(stc, pc_row, pp_row, pn_row, cc_row, damp_z, damp_x, nx,
+                    stride, inv_dz2, inv_dx2, dt2);
       return;
     default:
       throw std::logic_error("fdtd_row_avx2: unsupported stencil halo");
@@ -88,7 +92,8 @@ void fdtd_row_avx2(std::size_t halo, const Real* stc, const Real* pc_row,
 namespace qugeo::seismic {
 
 void fdtd_row_avx2(std::size_t, const Real*, const Real*, const Real*, Real*,
-                   const Real*, std::size_t, std::size_t, Real, Real, Real) {
+                   const Real*, Real, const Real*, std::size_t, std::size_t,
+                   Real, Real, Real) {
   // Dispatch (common/cpu_features.h) never selects kAvx2 in a build
   // without the AVX2 TUs, so reaching this stub is a programming error.
   throw std::logic_error("AVX2 kernels not compiled into this binary");

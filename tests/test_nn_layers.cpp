@@ -1,9 +1,16 @@
 // Layer forward/backward: every layer's parameter and input gradients are
-// checked against central finite differences on random data.
+// checked against central finite differences on random data; Conv2d and
+// Linear are also pinned bit for bit to textbook per-tap loops (see
+// kBitExact), and their shape misuse is checked to throw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <stdexcept>
 
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -68,6 +75,186 @@ void grad_check(Layer& layer, Tensor input, Real tol = 1e-5) {
       ASSERT_NEAR(p->grad[i], (lp - lm) / (2 * eps), tol) << "param grad " << i;
     }
   }
+}
+
+// The default x86-64 build has no FMA instructions, so both loop shapes
+// round every product and every sum and must agree bit for bit. Where the
+// compiler may fuse a multiply-add (-march=native with FMA, other targets),
+// whether it does depends on the loop's shape, so the two agree to rounding.
+#if defined(__x86_64__) && !defined(__FMA__)
+constexpr bool kBitExact = true;
+#else
+constexpr bool kBitExact = false;
+#endif
+
+/// Same shape and, per element, the same bits (to rounding where the build
+/// may contract multiply-adds, see kBitExact).
+void expect_same(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::size_t i = 0; i < got.numel(); ++i) {
+    if (kBitExact)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << what << " element " << i << ": " << got[i] << " vs " << want[i];
+    else
+      ASSERT_NEAR(got[i], want[i], 1e-12 * std::max(Real(1), std::abs(want[i])))
+          << what << " element " << i;
+  }
+}
+
+/// Outputs and gradients of one layer's forward + backward pass.
+struct Pass {
+  Tensor y, grad_in, grad_w, grad_b;
+};
+
+/// Textbook Conv2d: every kernel tap visited in (ic, ki, kj) order under the
+/// (b, oc, i, j) output nest, padded taps skipped by a per-tap bounds test.
+Pass conv_reference(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                    const Tensor& grad_out, std::size_t stride, std::size_t padding) {
+  const std::size_t n = x.dim(0), cin = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t cout = weight.dim(0), k = weight.dim(2);
+  const std::size_t oh = (h + 2 * padding - k) / stride + 1;
+  const std::size_t ow = (w + 2 * padding - k) / stride + 1;
+  Pass r{Tensor({n, cout, oh, ow}), Tensor(x.shape()), Tensor(weight.shape()),
+         Tensor(bias.shape())};
+  const auto tap = [&](std::size_t o, std::size_t kt, std::size_t extent,
+                       std::size_t& in) {
+    const auto v = static_cast<std::ptrdiff_t>(o * stride + kt) -
+                   static_cast<std::ptrdiff_t>(padding);
+    in = static_cast<std::size_t>(v);
+    return v >= 0 && v < static_cast<std::ptrdiff_t>(extent);
+  };
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t oc = 0; oc < cout; ++oc)
+      for (std::size_t i = 0; i < oh; ++i)
+        for (std::size_t j = 0; j < ow; ++j) {
+          Real acc = bias[oc];
+          const Real g = grad_out.at4(b, oc, i, j);
+          r.grad_b[oc] += g;
+          for (std::size_t ic = 0; ic < cin; ++ic)
+            for (std::size_t ki = 0; ki < k; ++ki)
+              for (std::size_t kj = 0; kj < k; ++kj) {
+                std::size_t ih = 0, iw = 0;
+                if (!tap(i, ki, h, ih) || !tap(j, kj, w, iw)) continue;
+                acc += weight.at4(oc, ic, ki, kj) * x.at4(b, ic, ih, iw);
+                r.grad_w.at4(oc, ic, ki, kj) += g * x.at4(b, ic, ih, iw);
+                r.grad_in.at4(b, ic, ih, iw) += g * weight.at4(oc, ic, ki, kj);
+              }
+          r.y.at4(b, oc, i, j) = acc;
+        }
+  return r;
+}
+
+/// Textbook Linear: one in-order dot product per output.
+Pass linear_reference(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                      const Tensor& grad_out) {
+  const std::size_t n = x.dim(0), in = x.dim(1), out = weight.dim(0);
+  Pass r{Tensor({n, out}), Tensor(x.shape()), Tensor(weight.shape()),
+         Tensor(bias.shape())};
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t o = 0; o < out; ++o) {
+      Real acc = bias[o];
+      const Real g = grad_out.at2(b, o);
+      r.grad_b[o] += g;
+      for (std::size_t i = 0; i < in; ++i) {
+        acc += weight.at2(o, i) * x.at2(b, i);
+        r.grad_w.at2(o, i) += g * x.at2(b, i);
+        r.grad_in.at2(b, i) += g * weight.at2(o, i);
+      }
+      r.y.at2(b, o) = acc;
+    }
+  return r;
+}
+
+/// Run `layer` forward and backward (with a random upstream gradient) and
+/// collect the results in the reference's shape.
+template <typename RefFn>
+void expect_matches_reference(Layer& layer, const Tensor& x, Rng& rng,
+                              RefFn&& reference) {
+  const std::vector<Param*> ps = layer.params();
+  rng.fill_uniform(ps[1]->value.data_mut(), -1, 1);  // nonzero biases
+  Pass got;
+  got.y = layer.forward(x);
+  const Tensor grad_out = random_tensor(got.y.shape(), rng);
+  got.grad_in = layer.backward(grad_out);
+  const Pass want = reference(ps[0]->value, ps[1]->value, grad_out);
+  expect_same(got.y, want.y, "output");
+  expect_same(got.grad_in, want.grad_in, "grad_in");
+  expect_same(ps[0]->grad, want.grad_w, "weight grad");
+  expect_same(ps[1]->grad, want.grad_b, "bias grad");
+}
+
+TEST(Conv2d, BitIdenticalToPerTapReference) {
+  // Covers every tap-range shape the contiguous loops special-case:
+  // windows clipped on one or both sides, windows wholly inside, strided
+  // windows skipping input columns, and H != W.
+  Rng rng(21);
+  for (std::size_t k : {1u, 3u, 5u})
+    for (std::size_t stride : {1u, 2u})
+      for (std::size_t padding : {0u, 1u, 2u})
+        for (std::size_t cin : {1u, 3u}) {
+          SCOPED_TRACE(testing::Message() << "kernel " << k << " stride " << stride
+                                          << " padding " << padding << " C_in " << cin);
+          Conv2d conv(cin, 2, k, stride, padding, rng);
+          const Tensor x = random_tensor({2, cin, 7, 6}, rng);
+          expect_matches_reference(
+              conv, x, rng, [&](const Tensor& w, const Tensor& b, const Tensor& g) {
+                return conv_reference(x, w, b, g, stride, padding);
+              });
+        }
+}
+
+TEST(Linear, BitIdenticalToReference) {
+  // 4-row blocks plus a 3-row tail (out % 4 != 0), and an exact multiple.
+  Rng rng(22);
+  for (std::size_t out : {7u, 8u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "out_features " << out);
+    Linear lin(13, out, rng);
+    const Tensor x = random_tensor({3, 13}, rng);
+    expect_matches_reference(
+        lin, x, rng, [&](const Tensor& w, const Tensor& b, const Tensor& g) {
+          return linear_reference(x, w, b, g);
+        });
+  }
+}
+
+TEST(Conv2d, KernelLargerThanPaddedInputThrows) {
+  Rng rng(23);
+  Conv2d conv(1, 1, 5, 1, 0, rng);
+  EXPECT_THROW((void)conv.forward(random_tensor({1, 1, 3, 3}, rng)),
+               std::invalid_argument);
+  EXPECT_THROW((void)conv.forward(random_tensor({1, 1, 6, 4}, rng)),
+               std::invalid_argument);
+  EXPECT_THROW((void)conv.forward(random_tensor({1, 1, 4, 6}, rng)),
+               std::invalid_argument);
+  // Padding that makes the window fit is fine.
+  Conv2d padded(1, 1, 5, 1, 1, rng);
+  EXPECT_EQ(padded.forward(random_tensor({1, 1, 3, 3}, rng)).shape(),
+            (std::vector<std::size_t>{1, 1, 1, 1}));
+}
+
+TEST(Conv2d, BackwardRejectsMisuse) {
+  Rng rng(24);
+  Conv2d conv(1, 2, 3, 1, 1, rng);
+  EXPECT_THROW((void)conv.backward(Tensor({1, 2, 4, 4})), std::invalid_argument);
+  (void)conv.forward(random_tensor({1, 1, 4, 4}, rng));
+  EXPECT_THROW((void)conv.backward(Tensor({1, 2, 4, 5})), std::invalid_argument);
+  EXPECT_THROW((void)conv.backward(Tensor({1, 1, 4, 4})), std::invalid_argument);
+  EXPECT_THROW((void)conv.backward(Tensor({2, 2, 4, 4})), std::invalid_argument);
+  EXPECT_THROW((void)conv.backward(Tensor({32})), std::invalid_argument);
+  EXPECT_EQ(conv.backward(Tensor({1, 2, 4, 4})).shape(),
+            (std::vector<std::size_t>{1, 1, 4, 4}));
+}
+
+TEST(Linear, BackwardRejectsMisuse) {
+  Rng rng(25);
+  Linear lin(5, 3, rng);
+  EXPECT_THROW((void)lin.backward(Tensor({2, 3})), std::invalid_argument);
+  (void)lin.forward(random_tensor({2, 5}, rng));
+  EXPECT_THROW((void)lin.backward(Tensor({2, 4})), std::invalid_argument);
+  EXPECT_THROW((void)lin.backward(Tensor({1, 3})), std::invalid_argument);
+  EXPECT_THROW((void)lin.backward(Tensor({6})), std::invalid_argument);
+  EXPECT_EQ(lin.backward(Tensor({2, 3})).shape(), (std::vector<std::size_t>{2, 5}));
 }
 
 TEST(Conv2d, OutputShape) {
@@ -170,6 +357,23 @@ TEST(MaxPool2d, GradRoutesToArgmax) {
   EXPECT_EQ(g[0], 0.0);
   EXPECT_EQ(g[1], 2.0);  // the max position
   EXPECT_EQ(g[2], 0.0);
+}
+
+TEST(MaxPool2d, AllNegativeInfinityWindowsRouteToTheirOwnCell) {
+  // No value beats the -inf start, so every window falls back to its first
+  // cell; each window must get exactly its own unit of gradient.
+  MaxPool2d pool(2);
+  Tensor x({1, 1, 4, 4});
+  x.fill(-std::numeric_limits<Real>::infinity());
+  x[5] = std::numeric_limits<Real>::quiet_NaN();  // NaN never compares greater
+  (void)pool.forward(x);
+  Tensor ones({1, 1, 2, 2});
+  ones.fill(1.0);
+  const Tensor g = pool.backward(ones);
+  for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t j = 0; j < 4; ++j)
+      EXPECT_EQ(g.at4(0, 0, i, j), (i % 2 == 0 && j % 2 == 0) ? 1.0 : 0.0)
+          << "cell " << i << "," << j;
 }
 
 TEST(MaxPool2d, GradCheck) {

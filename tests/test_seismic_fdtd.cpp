@@ -1,8 +1,12 @@
 // FDTD solver physics: CFL bounds, kinematics (first-arrival travel time),
-// absorbing boundaries, reciprocity, stencil-order consistency.
+// absorbing boundaries, reciprocity, stencil-order consistency, plus the
+// SIMD row kernel's equivalence and the scalar sweep's pinned output bits.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -179,7 +183,8 @@ TEST(Fdtd, HigherOrderAgreesWithSecondOrder) {
 
 TEST(Fdtd, FdtdRowAvx2MatchesScalarRow) {
   // The AVX2 row kernel against the scalar sweep's exact formula, for every
-  // supported halo, on an interior width that exercises the vector tail.
+  // supported halo, on an interior width that exercises the vector tail and
+  // a damping profile mixing sponge (w < 1) and interior (w == 1) cells.
   if (!simd::cpu_supports_avx2())
     GTEST_SKIP() << "AVX2+FMA not supported on this CPU";
   Rng rng(91);
@@ -187,38 +192,100 @@ TEST(Fdtd, FdtdRowAvx2MatchesScalarRow) {
   const Real inv_dx2 = 1.0 / (12.0 * 12.0);
   const Real dt2 = 1e-3 * 1e-3;
   for (std::size_t halo : {1u, 2u, 4u}) {
-    const std::size_t nx = 37;
-    const std::size_t stride = nx + 2 * halo;
-    std::vector<Real> pc((2 * halo + 1) * stride);
-    std::vector<Real> pp(nx), pn_avx2(nx), pn_ref(nx), cc(nx);
-    std::vector<Real> stc(halo + 1);
-    for (Real& v : pc) v = rng.uniform(-1, 1);
-    for (Real& v : pp) v = rng.uniform(-1, 1);
-    for (Real& v : cc) v = rng.uniform(1e6, 2e7);  // c^2 range
-    for (Real& v : stc) v = rng.uniform(-3, 3);
-    const Real* pc_row = pc.data() + halo * stride + halo;
-
-    fdtd_row_avx2(halo, stc.data(), pc_row, pp.data(), pn_avx2.data(),
-                  cc.data(), nx, stride, inv_dz2, inv_dx2, dt2);
-
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      const Real* p = pc_row + ix;
-      Real lap = stc[0] * p[0] * (inv_dz2 + inv_dx2);
-      for (std::size_t k = 1; k <= halo; ++k) {
-        const auto kk = static_cast<std::ptrdiff_t>(k);
-        const auto ks = static_cast<std::ptrdiff_t>(k * stride);
-        lap += stc[k] *
-               ((p[kk] + p[-kk]) * inv_dx2 + (p[ks] + p[-ks]) * inv_dz2);
+    for (const Real damp_z : {Real(1), Real(0.93)}) {
+      const std::size_t nx = 37;
+      const std::size_t stride = nx + 2 * halo;
+      std::vector<Real> pc((2 * halo + 1) * stride);
+      std::vector<Real> pp(nx), pn_avx2(nx), pn_ref(nx), cc(nx), damp_x(nx, 1);
+      std::vector<Real> stc(halo + 1);
+      for (Real& v : pc) v = rng.uniform(-1, 1);
+      for (Real& v : pp) v = rng.uniform(-1, 1);
+      for (Real& v : cc) v = rng.uniform(1e6, 2e7);  // c^2 range
+      for (Real& v : stc) v = rng.uniform(-3, 3);
+      // Six sponge columns at each end (the right ones reach into the
+      // scalar tail), interior columns (w == 1 unless damp_z < 1) between.
+      for (std::size_t ix = 0; ix < 6; ++ix) {
+        damp_x[ix] = rng.uniform(0.8, 1);
+        damp_x[nx - 1 - ix] = rng.uniform(0.8, 1);
       }
-      pn_ref[ix] = 2 * p[0] - pp[ix] + cc[ix] * dt2 * lap;
-    }
+      const Real* pc_row = pc.data() + halo * stride + halo;
 
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      const Real scale = std::max(std::abs(pn_ref[ix]), Real(1));
-      EXPECT_NEAR(pn_avx2[ix], pn_ref[ix], 1e-12 * scale)
-          << "halo " << halo << " cell " << ix;
+      fdtd_row_avx2(halo, stc.data(), pc_row, pp.data(), pn_avx2.data(),
+                    cc.data(), damp_z, damp_x.data(), nx, stride, inv_dz2,
+                    inv_dx2, dt2);
+
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const Real* p = pc_row + ix;
+        Real lap = stc[0] * p[0] * (inv_dz2 + inv_dx2);
+        for (std::size_t k = 1; k <= halo; ++k) {
+          const auto kk = static_cast<std::ptrdiff_t>(k);
+          const auto ks = static_cast<std::ptrdiff_t>(k * stride);
+          lap += stc[k] *
+                 ((p[kk] + p[-kk]) * inv_dx2 + (p[ks] + p[-ks]) * inv_dz2);
+        }
+        const Real w = damp_z * damp_x[ix];
+        pn_ref[ix] = (2 * p[0] - pp[ix] * w + cc[ix] * dt2 * lap) * w;
+      }
+
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const Real scale = std::max(std::abs(pn_ref[ix]), Real(1));
+        EXPECT_NEAR(pn_avx2[ix], pn_ref[ix], 1e-12 * scale)
+            << "halo " << halo << " damp_z " << damp_z << " cell " << ix;
+      }
     }
   }
+}
+
+/// FNV-1a over the bytes of every recorded sample and snapshot cell of one
+/// scalar-dispatched shot on a two-layer model whose source wavefield
+/// reaches every sponge pad within the run.
+std::uint64_t scalar_shot_hash(int order, bool free_surface) {
+  const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
+  VelocityModel m(Grid2D{30, 34, 10, 10}, 2000.0);
+  for (std::size_t iz = 18; iz < m.nz(); ++iz)
+    for (std::size_t ix = 0; ix < m.nx(); ++ix) m.at(iz, ix) = 3000.0;
+  FdtdConfig cfg = stable_config(m, 160, order);
+  cfg.free_surface_top = free_surface;
+  const RickerWavelet w(15.0);
+  const GridPos src{3, 11};
+  const ShotGather g = simulate_shot(m, src, w, make_receiver_line(34, 9, 2), cfg);
+  const auto snaps = simulate_wavefield(m, src, w, cfg, {60, 159});
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::span<const Real> values) {
+    for (const Real v : values) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  };
+  mix(g.data());
+  for (const auto& s : snaps) mix(s);
+  return h;
+}
+
+TEST(Fdtd, ScalarShotBitsMatchParent) {
+  // The scalar sweep's output bits, as the solver produced them while the
+  // Cerjan sponge was still a separate in-place pass over both time levels
+  // after each step. Folding the sponge into the sweep must not move a
+  // single bit. The literals hold for x86-64 code without FMA contraction
+  // (the default build); -march=native may fuse the update's multiply-adds.
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "hashes pin the uncontracted x86-64 scalar build";
+#endif
+  const struct {
+    int order;
+    bool free_surface;
+    std::uint64_t hash;
+  } pinned[] = {
+      {2, false, 0x597b93f2c7b68f7eULL}, {2, true, 0xf34a5f68e7a91391ULL},
+      {4, false, 0xfd058924960ec5a5ULL}, {4, true, 0x3694ad3e58de7ea0ULL},
+      {8, false, 0x01636b2c7a2308e2ULL}, {8, true, 0x0519a1601aeee0fdULL},
+  };
+  for (const auto& p : pinned)
+    EXPECT_EQ(scalar_shot_hash(p.order, p.free_surface), p.hash)
+        << "order " << p.order << " free surface " << p.free_surface;
 }
 
 TEST(Fdtd, SimdScalarAndAvx2ShotsAgree) {
