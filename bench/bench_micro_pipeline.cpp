@@ -121,6 +121,30 @@ void BM_CnnScalerStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnScalerStep)->Unit(benchmark::kMicrosecond);
 
+void BM_AdamStep(benchmark::State& state) {
+  // One Adam update over the Q-D-CNN compressor's parameter set (the same
+  // net as BM_CnnScalerStep, about 1.3e5 values) with fixed gradients.
+  Rng rng(7);
+  const data::CnnScalerConfig cfg;
+  const data::ScaleTarget scale;
+  const auto net = data::make_compressor_net(
+      scale.nsrc, cfg.input_time_rows, cfg.input_rec_cols,
+      scale.nsrc * scale.nt * scale.nrec, rng);
+  std::int64_t values = 0;
+  for (nn::Param* p : net->params()) {
+    rng.fill_uniform(p->grad.data_mut(), -1e-3, 1e-3);
+    values += static_cast<std::int64_t>(p->numel());
+  }
+  nn::Adam opt(net->params());
+  for (auto _ : state) {
+    opt.step(cfg.initial_lr);
+    benchmark::ClobberMemory();
+  }
+  // Parameters updated per second.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * values);
+}
+BENCHMARK(BM_AdamStep)->Unit(benchmark::kMicrosecond);
+
 void BM_Ssim8x8(benchmark::State& state) {
   Rng rng(4);
   std::vector<Real> a(64), b(64);

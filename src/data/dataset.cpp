@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/logging.h"
-
 namespace qugeo::data {
 
 RawDataset generate_raw_dataset(std::size_t count,
@@ -15,10 +13,8 @@ RawDataset generate_raw_dataset(std::size_t count,
   ds.samples.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     RawSample s{seismic::generate_flatvel(vel_cfg, rng), {}};
-    s.seismic = seismic::model_shots(s.velocity, acq);
+    s.seismic = seismic::defer_shots(s.velocity, acq);
     ds.samples.push_back(std::move(s));
-    if ((i + 1) % 25 == 0)
-      log_info("generate_raw_dataset: ", i + 1, "/", count, " samples");
   }
   return ds;
 }

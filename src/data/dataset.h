@@ -1,7 +1,9 @@
 // Dataset containers for the FWI learning task.
 //
 // A raw sample pairs a 70x70 velocity map with its 5x1000x70 shot gathers
-// (the synthetic stand-in for OpenFWI FlatVel-A; see DESIGN.md). A scaled
+// (the synthetic stand-in for OpenFWI FlatVel-A; see DESIGN.md). The gathers
+// are deferred: each shot is simulated on its first read, so a scaler that
+// reads only the centre shot never pays for the other four. A scaled
 // sample is what actually reaches the quantum circuit: a 256-value waveform
 // plus an 8x8 velocity map normalized to [0, 1].
 #pragma once
@@ -41,8 +43,10 @@ struct RawDataset {
   [[nodiscard]] std::size_t size() const noexcept { return samples.size(); }
 };
 
-/// Generate `count` raw samples: draw a FlatVel model, run the full-scale
-/// acquisition. Deterministic given the rng seed.
+/// Generate `count` raw samples: draw a FlatVel model and defer its
+/// full-scale acquisition (seismic::defer_shots; no shot is simulated here).
+/// Deterministic given the rng seed: the draws come first, and a shot's
+/// bits do not depend on when or on which thread it is read.
 [[nodiscard]] RawDataset generate_raw_dataset(std::size_t count,
                                               const seismic::FlatVelConfig& vel_cfg,
                                               const seismic::Acquisition& acq,

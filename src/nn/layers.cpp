@@ -243,6 +243,10 @@ Tensor ReLU::forward(const Tensor& x) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
+  if (input_.rank() == 0)
+    throw std::invalid_argument("ReLU::backward called before forward");
+  if (grad_out.shape() != input_.shape())
+    throw std::invalid_argument("ReLU::backward: grad_out shape differs from the output");
   Tensor grad_in = grad_out;
   auto gi = grad_in.data_mut();
   const auto xi = input_.data();
@@ -261,6 +265,10 @@ Tensor Sigmoid::forward(const Tensor& x) {
 }
 
 Tensor Sigmoid::backward(const Tensor& grad_out) {
+  if (output_.rank() == 0)
+    throw std::invalid_argument("Sigmoid::backward called before forward");
+  if (grad_out.shape() != output_.shape())
+    throw std::invalid_argument("Sigmoid::backward: grad_out shape differs from the output");
   Tensor grad_in = grad_out;
   auto gi = grad_in.data_mut();
   const auto yo = output_.data();
@@ -307,6 +315,12 @@ Tensor MaxPool2d::forward(const Tensor& x) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
+  if (in_shape_.size() != 4)
+    throw std::invalid_argument("MaxPool2d::backward called before forward");
+  if (grad_out.shape() != std::vector<std::size_t>{in_shape_[0], in_shape_[1],
+                                                   in_shape_[2] / kernel_,
+                                                   in_shape_[3] / kernel_})
+    throw std::invalid_argument("MaxPool2d::backward: grad_out shape differs from the output");
   Tensor grad_in(in_shape_);
   const auto go = grad_out.data();
   auto gi = grad_in.data_mut();
@@ -317,6 +331,8 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
 // --------------------------------------------------------------- Flatten --
 
 Tensor Flatten::forward(const Tensor& x) {
+  if (x.rank() == 0 || x.dim(0) == 0)
+    throw std::invalid_argument("Flatten: expected a non-empty batch");
   in_shape_ = x.shape();
   const std::size_t n = x.dim(0);
   return x.reshaped({n, x.numel() / n});

@@ -76,7 +76,10 @@ class Linear final : public Layer {
   Tensor input_;
 };
 
-/// Elementwise rectified linear unit.
+/// Elementwise rectified linear unit. backward() throws
+/// std::invalid_argument when called before forward() or with a grad_out
+/// whose shape is not the last forward output's (as do Sigmoid and
+/// MaxPool2d below).
 class ReLU final : public Layer {
  public:
   [[nodiscard]] Tensor forward(const Tensor& x) override;
@@ -116,7 +119,8 @@ class MaxPool2d final : public Layer {
   std::vector<std::size_t> in_shape_;
 };
 
-/// [N, C, H, W] -> [N, C*H*W].
+/// [N, C, H, W] -> [N, C*H*W]. forward() throws std::invalid_argument on
+/// an empty batch (N == 0).
 class Flatten final : public Layer {
  public:
   [[nodiscard]] Tensor forward(const Tensor& x) override;

@@ -1,9 +1,9 @@
 #include "seismic/forward_modeling.h"
 
-#include <cmath>
+#include <memory>
 #include <stdexcept>
 
-#include "common/parallel.h"
+#include "common/cpu_features.h"
 
 namespace qugeo::seismic {
 
@@ -33,7 +33,19 @@ Acquisition quantum_acquisition() {
   return acq;
 }
 
-SeismicData model_shots(const VelocityModel& model, const Acquisition& acq) {
+namespace {
+
+/// What simulate_shot needs for any shot of one acquisition over one model:
+/// the CFL-subdivided solver settings, the wavelet and the geometry.
+struct ShotPlan {
+  VelocityModel model;
+  FdtdConfig cfg;
+  RickerWavelet wavelet;
+  ReceiverLine receivers;
+  std::vector<GridPos> sources;
+};
+
+ShotPlan plan_shots(const VelocityModel& model, const Acquisition& acq) {
   // The recorded window is fixed at 1 second (OpenFWI: 1000 x 1 ms). The
   // simulation step subdivides it as needed to satisfy the CFL bound.
   constexpr Real kRecordTime = 1.0;
@@ -48,17 +60,33 @@ SeismicData model_shots(const VelocityModel& model, const Acquisition& acq) {
   cfg.dt = kRecordTime / static_cast<Real>(cfg.nt);
   cfg.record_every = substeps;
 
-  const RickerWavelet wavelet(acq.wavelet_freq_hz);
-  const ReceiverLine receivers = make_receiver_line(model.nx(), acq.num_receivers);
-  const auto sources = make_source_line(model.nx(), acq.num_sources);
+  return ShotPlan{model, cfg, RickerWavelet(acq.wavelet_freq_hz),
+                  make_receiver_line(model.nx(), acq.num_receivers),
+                  make_source_line(model.nx(), acq.num_sources)};
+}
 
-  SeismicData data(acq.num_sources, acq.num_time_samples, acq.num_receivers);
-  // Shots are independent wave propagations writing disjoint gathers; fan
-  // them out across the pool (the per-shot FDTD row sweep then runs inline
-  // on its worker).
-  parallel_for(0, sources.size(), [&](std::size_t s) {
-    data.set_shot(s, simulate_shot(model, sources[s], wavelet, receivers, cfg));
-  });
+}  // namespace
+
+SeismicData defer_shots(const VelocityModel& model, const Acquisition& acq) {
+  auto plan = std::make_shared<const ShotPlan>(plan_shots(model, acq));
+  // The SIMD level is resolved here, on the creating thread, and every shot
+  // runs under it: a shot read later, or on a pool worker (which does not
+  // inherit a thread-local override), gets the bits of an eager call.
+  const simd::SimdMode mode = simd::active_level() == simd::SimdLevel::kAvx2
+                                  ? simd::SimdMode::kAvx2
+                                  : simd::SimdMode::kScalar;
+  return SeismicData(acq.num_sources, acq.num_time_samples, acq.num_receivers,
+                     [plan, mode](std::size_t s) {
+                       const simd::ScopedSimdMode scope(mode);
+                       return simulate_shot(plan->model, plan->sources[s],
+                                            plan->wavelet, plan->receivers,
+                                            plan->cfg);
+                     });
+}
+
+SeismicData model_shots(const VelocityModel& model, const Acquisition& acq) {
+  SeismicData data = defer_shots(model, acq);
+  (void)data.data();
   return data;
 }
 

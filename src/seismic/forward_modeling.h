@@ -29,8 +29,16 @@ struct Acquisition {
 /// The paper's quantum-scale acquisition (256-value gathers, 8 Hz source).
 [[nodiscard]] Acquisition quantum_acquisition();
 
-/// Model all shots of an acquisition over `model`. The receivers and
-/// sources are spread evenly along the surface (row 0).
+/// The shots of an acquisition over `model` as a deferred volume: nothing
+/// is simulated here; each shot is simulated on its first read and kept
+/// (see SeismicData). The receivers and sources are spread evenly along the
+/// surface (row 0). Every shot runs at the SIMD level active on the calling
+/// thread now, whichever thread later reads it.
+[[nodiscard]] SeismicData defer_shots(const VelocityModel& model,
+                                      const Acquisition& acq);
+
+/// Model all shots of an acquisition over `model`: defer_shots with every
+/// shot forced before returning (the shots fan out over the pool).
 [[nodiscard]] SeismicData model_shots(const VelocityModel& model,
                                       const Acquisition& acq);
 

@@ -12,15 +12,27 @@ RickerWavelet::RickerWavelet(Real peak_freq_hz, Real delay_s)
     throw std::invalid_argument("RickerWavelet: frequency must be positive");
 }
 
-Real RickerWavelet::operator()(Real t) const noexcept {
-  const Real arg = kPi * freq_ * (t - delay_);
+namespace {
+
+/// The one evaluation of w(t) both entry points share. Out of line, so t
+/// always arrives materialized: inlined into sample()'s loop, an FMA build
+/// would fuse i * dt into t - delay there but not in operator().
+[[gnu::noinline]] Real ricker(Real freq, Real delay, Real t) noexcept {
+  const Real arg = kPi * freq * (t - delay);
   const Real a = arg * arg;
   return (Real(1) - 2 * a) * std::exp(-a);
 }
 
+}  // namespace
+
+Real RickerWavelet::operator()(Real t) const noexcept {
+  return ricker(freq_, delay_, t);
+}
+
 std::vector<Real> RickerWavelet::sample(std::size_t nt, Real dt) const {
   std::vector<Real> w(nt);
-  for (std::size_t i = 0; i < nt; ++i) w[i] = (*this)(static_cast<Real>(i) * dt);
+  for (std::size_t i = 0; i < nt; ++i)
+    w[i] = ricker(freq_, delay_, static_cast<Real>(i) * dt);
   return w;
 }
 

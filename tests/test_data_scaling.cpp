@@ -2,6 +2,9 @@
 // behaviour, CNN compressor training.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+
 #include "common/math_utils.h"
 #include "data/cnn_scaler.h"
 #include "data/scaling.h"
@@ -144,6 +147,45 @@ TEST(CnnScaler, ApproximatesPhysicsGuidedTarget) {
     corr_sum += dot;
   }
   EXPECT_GT(corr_sum / static_cast<Real>(raw.size()), 0.5);
+}
+
+/// `raw` with every sample's shots routed through a counting shot function
+/// (each still simulated lazily by the wrapped deferred volume).
+RawDataset counting(const RawDataset& raw, std::atomic<int>& shots) {
+  RawDataset out = raw;
+  for (RawSample& s : out.samples) {
+    const seismic::SeismicData inner = s.seismic;
+    s.seismic = seismic::SeismicData(
+        inner.nsrc(), inner.nt(), inner.nrec(), [inner, &shots](std::size_t src) {
+          ++shots;
+          seismic::ShotGather g(inner.nt(), inner.nrec());
+          const auto shot = inner.shot_span(src);
+          std::copy(shot.begin(), shot.end(), g.data_mut().begin());
+          return g;
+        });
+  }
+  return out;
+}
+
+TEST(DeferredRawShots, ScalersSimulateOnlyTheShotsTheyRead) {
+  // The one-source target reads the centre shot; only the compressor's
+  // global input scale reads all five shots of its training samples.
+  std::atomic<int> shots{0};
+  const RawDataset cnn_raw = counting(small_raw(1, 17), shots);
+  CnnScalerConfig ccfg;
+  ccfg.epochs = 2;
+  Rng rng(5);
+  const CnnScaler qdcnn = train_cnn_scaler(cnn_raw, ScaleTarget{}, ccfg, rng);
+  EXPECT_EQ(shots.load(), 5);
+
+  shots = 0;
+  const RawDataset raw = counting(small_raw(4, 18), shots);
+  EXPECT_EQ(shots.load(), 0);
+  const ScaledDataset ds = DSampleScaler().scale_dataset(raw, ScaleTarget{});
+  const ScaledDataset cnn = qdcnn.scale_dataset(raw, ScaleTarget{});
+  EXPECT_EQ(ds.size(), 4u);
+  EXPECT_EQ(cnn.size(), 4u);
+  EXPECT_EQ(shots.load(), 4);
 }
 
 TEST(CnnScaler, EmptyTrainSetRejected) {

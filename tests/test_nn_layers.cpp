@@ -257,6 +257,43 @@ TEST(Linear, BackwardRejectsMisuse) {
   EXPECT_EQ(lin.backward(Tensor({2, 3})).shape(), (std::vector<std::size_t>{2, 5}));
 }
 
+TEST(ReLU, BackwardRejectsMisuse) {
+  Rng rng(26);
+  ReLU relu;
+  EXPECT_THROW((void)relu.backward(Tensor({2})), std::invalid_argument);
+  (void)relu.forward(random_tensor({1, 2}, rng));
+  EXPECT_THROW((void)relu.backward(Tensor({1, 8})), std::invalid_argument);
+  EXPECT_THROW((void)relu.backward(Tensor({2})), std::invalid_argument);
+  EXPECT_EQ(relu.backward(Tensor({1, 2})).shape(), (std::vector<std::size_t>{1, 2}));
+}
+
+TEST(Sigmoid, BackwardRejectsMisuse) {
+  Rng rng(27);
+  Sigmoid sig;
+  EXPECT_THROW((void)sig.backward(Tensor({3})), std::invalid_argument);
+  (void)sig.forward(random_tensor({3, 1}, rng));
+  EXPECT_THROW((void)sig.backward(Tensor({3, 2})), std::invalid_argument);
+  EXPECT_THROW((void)sig.backward(Tensor({1, 3})), std::invalid_argument);
+  EXPECT_EQ(sig.backward(Tensor({3, 1})).shape(), (std::vector<std::size_t>{3, 1}));
+}
+
+TEST(MaxPool2d, BackwardRejectsMisuse) {
+  Rng rng(28);
+  MaxPool2d pool(2);
+  EXPECT_THROW((void)pool.backward(Tensor({1, 1, 1, 1})), std::invalid_argument);
+  (void)pool.forward(random_tensor({1, 1, 2, 2}, rng));
+  EXPECT_THROW((void)pool.backward(Tensor({1, 1, 2, 2})), std::invalid_argument);
+  EXPECT_THROW((void)pool.backward(Tensor({1})), std::invalid_argument);
+  EXPECT_EQ(pool.backward(Tensor({1, 1, 1, 1})).shape(),
+            (std::vector<std::size_t>{1, 1, 2, 2}));
+}
+
+TEST(Flatten, EmptyBatchThrows) {
+  Flatten f;
+  EXPECT_THROW((void)f.forward(Tensor({0, 3, 2, 2})), std::invalid_argument);
+  EXPECT_THROW((void)f.forward(Tensor()), std::invalid_argument);
+}
+
 TEST(Conv2d, OutputShape) {
   Rng rng(1);
   Conv2d conv(2, 3, 3, 1, 1, rng);
