@@ -1,7 +1,8 @@
 // Microbenchmarks of the pluggable simulation-backend layer: the paper
 // ansatz executed on the statevector, density-matrix, and N-trajectory
 // backends — the cost model behind choosing exact vs. sampled noise for
-// the NISQ ablation. Merges into BENCH_micro.json like every micro suite.
+// the NISQ ablation — plus the compiled-circuit cache's per-lookup cost.
+// Merges into BENCH_micro.json like every micro suite.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "core/ansatz.h"
 #include "core/layout.h"
 #include "qsim/backend.h"
+#include "qsim/compile_cache.h"
 
 namespace {
 
@@ -78,6 +80,22 @@ void BM_TrajectoryBackendForward(benchmark::State& state) {
   run_backend_bench(state, cfg, 8, 4);
 }
 BENCHMARK(BM_TrajectoryBackendForward)->Arg(8)->Arg(32);
+
+void BM_CompiledCacheHit(benchmark::State& state) {
+  // What every predict chunk pays after the first compile: one structural
+  // key match of the trainable 8-qubit, 12-block paper ansatz (an identity
+  // entry — the all-trainable circuit has nothing to fuse).
+  const qsim::Circuit c = AnsatzFixture::build_ansatz(8, 12);
+  qsim::CompiledCircuitCache cache;
+  (void)cache.canonical(c, qsim::BackendKind::kStatevector);  // warm
+  for (auto _ : state) {
+    auto canon = cache.canonical(c, qsim::BackendKind::kStatevector);
+    benchmark::DoNotOptimize(canon.get());
+  }
+  // Cache lookups served per second.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CompiledCacheHit);
 
 }  // namespace
 

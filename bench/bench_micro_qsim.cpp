@@ -2,12 +2,9 @@
 // full QuGeoVQC ansatz execution, adjoint gradients, encoder synthesis —
 // the quantities behind the QuBatch complexity argument (Sec. 3.3.3).
 //
-// The binary doubles as two CI perf gates. After the benchmark run, main()
-// re-times the frozen-heavy adjoint gradient with and without the
-// gradient plan and exits non-zero below 1.3x — the speedup the fused
-// training path is built to deliver on frozen-heavy shapes. It then times
-// the paper ansatz's full gradient against its forward replay and exits
-// non-zero above 6x — the cost bound of the one-sweep adjoint.
+// The binary doubles as a CI perf gate. After the benchmark run, main()
+// times the paper ansatz's full gradient against its forward replay and
+// exits non-zero above 6x — the cost bound of the one-sweep adjoint.
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
@@ -20,7 +17,6 @@
 #include "core/encoder.h"
 #include "qsim/encoding.h"
 #include "qsim/executor.h"
-#include "qsim/gradient_plan.h"
 #include "qsim/observables.h"
 
 namespace {
@@ -132,52 +128,6 @@ void BM_AdjointGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjointGradient)->Arg(4)->Arg(12)->Arg(24);
 
-/// Transfer-learning shape: each block carries the paper's full U3+CU3
-/// layer with FROZEN (literal) angles plus one trainable RY — the
-/// frozen-heavy regime where GradientPlan's literal-segment fusion pays
-/// (the all-trainable ansatz above is plan-invariant by design).
-qsim::Circuit frozen_heavy_ansatz(Index qubits, std::size_t blocks,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  qsim::Circuit c(qubits);
-  const auto p = c.new_params(static_cast<std::uint32_t>(blocks));
-  for (std::size_t b = 0; b < blocks; ++b) {
-    for (Index q = 0; q < qubits; ++q)
-      c.u3(q, rng.uniform(-kPi, kPi), rng.uniform(-kPi, kPi),
-           rng.uniform(-kPi, kPi));
-    for (Index q = 0; q + 1 < qubits; ++q)
-      c.cu3(q, q + 1, rng.uniform(-kPi, kPi), rng.uniform(-kPi, kPi),
-            rng.uniform(-kPi, kPi));
-    c.ry(0, qsim::ParamRef{p.id + static_cast<std::uint32_t>(b)});
-  }
-  return c;
-}
-
-void BM_AdjointGradientFrozenHeavy(benchmark::State& state) {
-  // Arg 0 = verbatim op stream (QUGEO_GRAD_FUSION=off), Arg 1 = the
-  // gradient-plan form loss_and_gradient executes by default.
-  const bool use_plan = state.range(0) != 0;
-  const qsim::Circuit source = frozen_heavy_ansatz(8, 12, 21);
-  const qsim::GradientPlan plan = qsim::GradientPlan::build(source);
-  const qsim::Circuit& c = use_plan ? plan.execution_form(source) : source;
-  std::vector<Real> params(source.num_params());
-  Rng rng(22);
-  rng.fill_uniform(params, -1, 1);
-  std::vector<Real> g(256);
-  rng.fill_uniform(g, -1, 1);
-  for (auto _ : state) {
-    qsim::StateVector psi(8);
-    qsim::run_circuit(c, params, psi);
-    const auto cot = qsim::cotangent_from_probability_grads(psi, g);
-    const auto adj = qsim::adjoint_backward(c, params, std::move(psi), cot);
-    benchmark::DoNotOptimize(adj.param_grads.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(source.num_params()));
-  state.counters["plan_ops"] = static_cast<double>(c.num_ops());
-}
-BENCHMARK(BM_AdjointGradientFrozenHeavy)->Arg(0)->Arg(1);
-
 void BM_QuBatchForward(benchmark::State& state) {
   // The Sec. 3.3.3 claim in silico: processing 2^N samples in one circuit
   // costs one 2^(8+N)-dim execution instead of 2^N separate 2^8-dim runs.
@@ -235,58 +185,6 @@ void BM_MarginalProbabilities(benchmark::State& state) {
                           static_cast<std::int64_t>(psi.dim()));
 }
 BENCHMARK(BM_MarginalProbabilities)->Arg(8)->Arg(12)->Arg(16);
-
-/// CI perf gate: the gradient-plan form of the frozen-heavy adjoint
-/// gradient must be >= 1.3x faster than the verbatim op stream. Best-of-R
-/// timing of K full gradients each (forward + reverse sweep).
-int adjoint_fusion_guard() {
-  using clock = std::chrono::steady_clock;
-  const qsim::Circuit source = frozen_heavy_ansatz(8, 12, 21);
-  const qsim::GradientPlan plan = qsim::GradientPlan::build(source);
-  const qsim::Circuit& fused = plan.execution_form(source);
-  std::vector<Real> params(source.num_params());
-  Rng rng(22);
-  rng.fill_uniform(params, -1, 1);
-  std::vector<Real> g(256);
-  rng.fill_uniform(g, -1, 1);
-
-  constexpr int kReps = 5;
-  constexpr int kIters = 60;
-  constexpr double kRequiredSpeedup = 1.3;
-  const auto best_of = [&](const qsim::Circuit& c) {
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = clock::now();
-      for (int it = 0; it < kIters; ++it) {
-        qsim::StateVector psi(8);
-        qsim::run_circuit(c, params, psi);
-        const auto cot = qsim::cotangent_from_probability_grads(psi, g);
-        const auto adj = qsim::adjoint_backward(c, params, std::move(psi), cot);
-        benchmark::DoNotOptimize(adj.param_grads.data());
-      }
-      const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return best;
-  };
-
-  best_of(source);  // warm caches/pages before the measured passes
-  const double unfused_ms = best_of(source);
-  const double fused_ms = best_of(fused);
-  const double speedup = unfused_ms / fused_ms;
-  std::printf(
-      "adjoint fusion guard: frozen-heavy 8q/12-block gradient %zu -> %zu "
-      "ops, unfused %.3f ms, fused %.3f ms (%.2fx, need >= %.1fx)\n",
-      source.num_ops(), fused.num_ops(), unfused_ms, fused_ms, speedup,
-      kRequiredSpeedup);
-  if (speedup < kRequiredSpeedup) {
-    std::fprintf(stderr,
-                 "adjoint fusion guard FAILED: %.2fx < required %.1fx\n",
-                 speedup, kRequiredSpeedup);
-    return 1;
-  }
-  return 0;
-}
 
 /// CI perf gate: one full gradient (forward + adjoint sweep) of the 8-qubit,
 /// 12-block paper ansatz must cost <= 6x a forward replay of the same
@@ -348,7 +246,5 @@ int adjoint_sweep_guard() {
 int main(int argc, char** argv) {
   const int rc = qugeo::bench::run_micro_benchmarks(argc, argv);
   if (rc != 0) return rc;
-  const int fusion = adjoint_fusion_guard();
-  const int sweep = adjoint_sweep_guard();
-  return fusion != 0 ? fusion : sweep;
+  return adjoint_sweep_guard();
 }

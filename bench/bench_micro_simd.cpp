@@ -1,16 +1,12 @@
 // Microbenchmarks of the explicit SIMD layer and the batched (SoA)
-// multi-state executor: the scalar vs AVX2 single-state kernels, the
-// order-8 FDTD sweep under both dispatch levels, and the batched 1q sweep
-// against the equivalent loop over independent statevectors. Merges into
-// BENCH_micro.json like every micro suite.
+// multi-state executor: the scalar vs AVX2 single-state 1q kernel, and the
+// batched 1q sweep against the equivalent loop over independent
+// statevectors. Merges into BENCH_micro.json like every micro suite.
 //
-// The binary doubles as the CI perf gate (mirroring bench_micro_fusion's
-// fusion guard): after the benchmark run, main() re-times the hot kernels
-// directly and exits non-zero on AVX2 hardware unless, against the
-// pre-SIMD scalar single-state baselines,
-//   - the dense 2q AVX2 kernel is >= 1.5x the scalar kernel, and
-//   - the batched 1q sweep at 8 lanes is >= 2x the looped scalar
-//     single-state form (the path those states took before batching).
+// The binary doubles as the CI perf gate: after the benchmark run, main()
+// re-times the batched sweep directly and exits non-zero on AVX2 hardware
+// unless the batched 1q sweep at 8 lanes is >= 2x the looped scalar
+// single-state form (the path those states took before batching).
 // On machines without AVX2+FMA the guard prints a skip notice and passes.
 #include <benchmark/benchmark.h>
 
@@ -32,18 +28,6 @@ using namespace qugeo;
 /// Mixing 1q matrix (all four entries nonzero) so no fast path hides the
 /// kernel under test.
 qsim::Mat2 test_u3() { return qsim::u3_matrix(0.7, -0.3, 1.1); }
-
-/// Dense 4x4 with all sixteen entries nonzero: U3 (x) U3 composed with a
-/// SWAP-like mixing — built directly so the benchmark needs no fusion pass.
-qsim::Mat4 test_dense4() {
-  const qsim::Mat2 a = qsim::u3_matrix(0.4, -0.8, 1.1);
-  const qsim::Mat2 b = qsim::u3_matrix(-0.9, 0.3, 0.5);
-  qsim::Mat4 m{};
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c)
-      m.m[r * 4 + c] = a(r / 2, c % 2) * b(r % 2, c / 2);
-  return m;
-}
 
 void bench_apply_1q(benchmark::State& state, simd::SimdMode mode) {
   if (mode == simd::SimdMode::kAvx2 && !simd::cpu_supports_avx2()) {
@@ -72,34 +56,6 @@ void BM_SimdApply1QAvx2(benchmark::State& state) {
   bench_apply_1q(state, simd::SimdMode::kAvx2);
 }
 BENCHMARK(BM_SimdApply1QAvx2)->Arg(12)->Arg(16);
-
-void bench_apply_matrix2q(benchmark::State& state, simd::SimdMode mode) {
-  if (mode == simd::SimdMode::kAvx2 && !simd::cpu_supports_avx2()) {
-    state.SkipWithError("AVX2+FMA not supported on this CPU");
-    return;
-  }
-  const simd::ScopedSimdMode scoped(mode);
-  const auto qubits = static_cast<Index>(state.range(0));
-  qsim::StateVector psi(qubits);
-  const qsim::Mat4 u = test_dense4();
-  Index q = 0;
-  for (auto _ : state) {
-    psi.apply_matrix2q(u, q, (q + 1) % qubits);
-    q = (q + 1) % qubits;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(psi.dim()));
-}
-
-void BM_SimdApplyMatrix2QScalar(benchmark::State& state) {
-  bench_apply_matrix2q(state, simd::SimdMode::kScalar);
-}
-BENCHMARK(BM_SimdApplyMatrix2QScalar)->Arg(12)->Arg(16);
-
-void BM_SimdApplyMatrix2QAvx2(benchmark::State& state) {
-  bench_apply_matrix2q(state, simd::SimdMode::kAvx2);
-}
-BENCHMARK(BM_SimdApplyMatrix2QAvx2)->Arg(12)->Arg(16);
 
 /// The batched SoA sweep: one dispatch moves all lanes of the group.
 void BM_BatchedApply1Q(benchmark::State& state) {
@@ -135,8 +91,7 @@ void BM_LoopedApply1Q(benchmark::State& state) {
 }
 BENCHMARK(BM_LoopedApply1Q)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
-/// CI perf gate for the SIMD layer. Best-of-R timing of K kernel sweeps,
-/// the same shape as bench_micro_fusion's fusion_speedup_guard.
+/// CI perf gate for the SIMD layer. Best-of-R timing of K kernel sweeps.
 int simd_speedup_guard() {
   if (!simd::cpu_supports_avx2()) {
     std::printf(
@@ -157,37 +112,7 @@ int simd_speedup_guard() {
     return best;
   };
 
-  // Gate 1: dense 2q AVX2 >= 1.5x scalar on a 14-qubit register.
-  const qsim::Mat4 u4 = test_dense4();
-  qsim::StateVector psi(14);
-  constexpr int kIters2Q = 200;
-  const auto sweep_2q = [&] {
-    Index q = 0;
-    for (int it = 0; it < kIters2Q; ++it) {
-      psi.apply_matrix2q(u4, q, (q + 1) % 14);
-      q = (q + 1) % 14;
-    }
-    benchmark::DoNotOptimize(psi.amplitudes().data());
-  };
-  double scalar_2q_ms = 0;
-  double avx2_2q_ms = 0;
-  {
-    const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
-    best_of(sweep_2q);  // warm caches/pages before the measured passes
-    scalar_2q_ms = best_of(sweep_2q);
-  }
-  {
-    const simd::ScopedSimdMode scoped(simd::SimdMode::kAvx2);
-    best_of(sweep_2q);
-    avx2_2q_ms = best_of(sweep_2q);
-  }
-  const double speedup_2q = scalar_2q_ms / avx2_2q_ms;
-  std::printf(
-      "simd guard: dense 2q on 14 qubits, scalar %.3f ms, avx2 %.3f ms "
-      "(%.2fx, need >= 1.50x)\n",
-      scalar_2q_ms, avx2_2q_ms, speedup_2q);
-
-  // Gate 2: batched 1q at 8 lanes >= 2x the looped single-state form.
+  // Batched 1q at 8 lanes >= 2x the looped single-state form.
   const qsim::Mat2 u2 = test_u3();
   constexpr Index kQubits = 8;
   constexpr std::size_t kLanes = 8;
@@ -229,20 +154,13 @@ int simd_speedup_guard() {
       kLanes, static_cast<std::size_t>(kQubits), looped_ms, batched_ms,
       speedup_batched);
 
-  int rc = 0;
-  if (speedup_2q < 1.5) {
-    std::fprintf(stderr,
-                 "simd guard FAILED: dense 2q avx2 speedup %.2fx < 1.50x\n",
-                 speedup_2q);
-    rc = 1;
-  }
   if (speedup_batched < 2.0) {
     std::fprintf(stderr,
                  "simd guard FAILED: batched 1q speedup %.2fx < 2.00x\n",
                  speedup_batched);
-    rc = 1;
+    return 1;
   }
-  return rc;
+  return 0;
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "qsim/batched_executor.h"
 #include "qsim/batched_statevector.h"
 #include "qsim/executor.h"
-#include "qsim/optimizer.h"
 
 int main() {
   using namespace qugeo;
@@ -83,63 +82,43 @@ int main() {
               "per pixel\n",
               drift / static_cast<Real>(pred.size()));
 
-  // Bonus: two-qubit run fusion on the deployed circuit. Freezing the
-  // trained angles into literals lets canonicalize_for_backend collapse the
-  // U3+CU3 structure into block-diagonal / dense fused kernels; the timing
-  // line below makes the docs' speedup claim reproducible from here.
+  // Bonus: the kernel layers underneath predict (docs/ARCHITECTURE.md,
+  // "SIMD & batching"): the trained ansatz's forward on the scalar
+  // reference kernels vs the auto-dispatched ones, then 8 states swept by
+  // one batched (SoA) pass vs 8 sequential scalar single-state forwards.
   {
-    const auto params = model.parameters();
-    const qsim::Circuit frozen = qsim::bind_parameters(
-        model.ansatz(),
-        std::span<const Real>(params).first(model.num_quantum_params()));
-    const qsim::Circuit fused = qsim::canonicalize_for_backend(frozen);
-    const auto time_forward = [&](const qsim::Circuit& circ) {
+    const qsim::Circuit& ansatz = model.ansatz();
+    const auto all_params = model.parameters();
+    const std::span<const Real> params =
+        std::span<const Real>(all_params).first(model.num_quantum_params());
+    // Best of 3 repetitions of 20 calls, in ms per call.
+    const auto best_ms = [](auto&& body) {
       using clock = std::chrono::steady_clock;
       double best = 1e300;
       for (int rep = 0; rep < 3; ++rep) {
         const auto t0 = clock::now();
-        for (int it = 0; it < 20; ++it) {
-          qsim::StateVector psi(circ.num_qubits());
-          qsim::run_circuit(circ, {}, psi);
-        }
+        for (int it = 0; it < 20; ++it) body();
         const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
         best = std::min(best, dt.count() / 20);
       }
       return best;
     };
-    const double off_ms = time_forward(frozen);
-    const double on_ms = time_forward(fused);
-    std::printf("\n  frozen-ansatz forward, fusion off %zu ops %.3f ms | "
-                "fusion on %zu ops %.3f ms (%.2fx)\n",
-                frozen.num_ops(), off_ms, fused.num_ops(), on_ms,
-                off_ms / on_ms);
-
-    // ...and the two layers underneath it (docs/ARCHITECTURE.md, "SIMD &
-    // batching"): the same fused forward on the scalar reference kernels
-    // vs the auto-dispatched ones, then 8 states swept by one batched
-    // (SoA) pass vs 8 sequential scalar single-state forwards.
+    const auto forward = [&] {
+      qsim::StateVector psi(ansatz.num_qubits());
+      qsim::run_circuit(ansatz, params, psi);
+    };
     const double scalar_ms = [&] {
       simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
-      return time_forward(fused);
+      return best_ms(forward);
     }();
-    const double auto_ms = time_forward(fused);  // process-default dispatch
+    const double auto_ms = best_ms(forward);  // process-default dispatch
     constexpr std::size_t kLanes = 8;
-    const double batched_ms = [&] {
-      using clock = std::chrono::steady_clock;
-      double best = 1e300;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = clock::now();
-        for (int it = 0; it < 20; ++it) {
-          qsim::BatchedStateVector batch(fused.num_qubits(), kLanes);
-          qsim::run_circuit_batched(fused, {}, batch);
-        }
-        const std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-        best = std::min(best, dt.count() / 20);
-      }
-      return best / static_cast<double>(kLanes);  // per state
-    }();
-    std::printf("  kernels: scalar %.3f ms | %s %.3f ms (%.2fx) | "
-                "batched x%zu %.3f ms/state (%.2fx vs scalar)\n",
+    const double batched_ms = best_ms([&] {
+      qsim::BatchedStateVector batch(ansatz.num_qubits(), kLanes);
+      qsim::run_circuit_batched(ansatz, params, batch);
+    }) / static_cast<double>(kLanes);  // per state
+    std::printf("\n  trained-ansatz forward: scalar %.3f ms | %s %.3f ms "
+                "(%.2fx) | batched x%zu %.3f ms/state (%.2fx vs scalar)\n",
                 scalar_ms,
                 simd::simd_level_name(simd::active_level()).data(), auto_ms,
                 scalar_ms / auto_ms, kLanes, batched_ms,

@@ -31,10 +31,10 @@ const Circuit& noiseless_form(const Circuit& circuit, bool fusion,
     keepalive = cache->canonical(circuit, kind);
     return keepalive ? *keepalive : circuit;
   }
-  // No cache: pay the O(ops) probes per execution, the canonical copy only
+  // No cache: pay the O(ops) probe per execution, the canonical copy only
   // when fusion changes something (the all-trainable ansatz runs by
   // reference).
-  if (has_fusable_runs(circuit) || has_fusable_two_qubit_runs(circuit)) {
+  if (has_fusable_runs(circuit)) {
     local.emplace(canonicalize_for_backend(circuit));
     return *local;
   }

@@ -7,10 +7,10 @@
 // through ExecutionConfig — no call-site special-casing — so the same
 // pipeline runs noiselessly, with exact NoiseModel channels, with sampled
 // trajectories, or from a finite measurement budget (shots). Noiseless
-// execution paths canonicalize the circuit first (optimizer.h: single-qubit
-// run fusion, diagonal-run merging, two-qubit run fusion into dense 4x4
-// blocks), so every backend benefits from the GateClass kernel dispatch and
-// the fused kernels; with a gate channel active the original op stream
+// execution paths canonicalize the circuit first (optimizer.h: literal
+// single-qubit runs collapse into one U3, diagonal runs into one Phase), so
+// every backend runs fewer gate sweeps; with a gate channel active the
+// original op stream
 // executes verbatim, because fusing k gates into one would also fuse their
 // k noise insertion points (optimizer.h documents the legality rules).
 // Canonical forms are memoized across executions when the config carries a
@@ -83,11 +83,11 @@ struct ExecutionConfig {
   bool fusion = true;
   /// Master switch for gradient-plan canonicalization on the TRAINING path
   /// (gradient_plan.h): loss_and_gradient replays |psi> and sweeps <lambda|
-  /// through the gradient-canonical circuit, whose literal segments between
-  /// trainable slots are fused into kFused2Q/kFusedCtl2Q blocks. Off, the
+  /// through the gradient-canonical circuit, whose literal 1q runs between
+  /// trainable slots are fused into one U3/Phase each. Off, the
   /// adjoint runs the original op stream verbatim — the
   /// QUGEO_GRAD_FUSION=off ablation/debug mode. Gradients agree either way
-  /// to <= 1e-10 (the fused segments' global phase cancels in the
+  /// to <= 1e-10 (the fused runs' global phase cancels in the
   /// 2 Re <lambda|dU|psi> contraction), pinned by
   /// test_qsim_gradient_conformance.
   bool grad_fusion = true;
@@ -139,7 +139,7 @@ struct ExecutionConfig {
 /// the full legality rules; the readout channel's single end-of-circuit
 /// insertion point survives fusion, so readout-only noise may still fuse).
 /// Either way the observable results are identical to 1e-10 — fusion is a
-/// pure performance layer, pinned by test_qsim_fusion2q.
+/// pure performance layer, pinned by test_qsim_fusion.
 class Backend {
  public:
   virtual ~Backend() = default;

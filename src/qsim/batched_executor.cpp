@@ -35,28 +35,6 @@ void apply_block_batched(GateKind kind, const Mat2& u,
   }
 }
 
-/// Batched twin of executor.cpp's apply_fused: dense Mat4 kernel for
-/// kFused2Q, dual half-space kernel over the extracted 2x2 blocks for
-/// kFusedCtl2Q.
-void apply_fused_batched(GateKind kind, const Mat4& m, Index q0, Index q1,
-                         BatchedStateVector& psi) {
-  if (kind == GateKind::kFusedCtl2Q) {
-    Mat2 u0, u1;
-    for (int tp = 0; tp < 2; ++tp)
-      for (int t = 0; t < 2; ++t) {
-        u0(tp, t) = m(tp * 2, t * 2);
-        u1(tp, t) = m(tp * 2 + 1, t * 2 + 1);
-      }
-    psi.apply_block_diag_2q(u0, u1, q0, q1);
-    return;
-  }
-  psi.apply_matrix2q(m, q0, q1);
-}
-
-bool is_fused_kind(GateKind kind) {
-  return kind == GateKind::kFused2Q || kind == GateKind::kFusedCtl2Q;
-}
-
 void apply_op_batched(const Op& op, std::span<const Real> params,
                       BatchedStateVector& psi) {
   if (op.kind == GateKind::kSWAP) {
@@ -77,13 +55,7 @@ void run_circuit_batched(const Circuit& circuit, std::span<const Real> params,
   if (params.size() < circuit.num_params())
     throw std::invalid_argument(
         "run_circuit_batched: parameter table too small");
-  for (const Op& op : circuit.ops()) {
-    if (is_fused_kind(op.kind))
-      apply_fused_batched(op.kind, circuit.matrix(op), op.qubits[0],
-                          op.qubits[1], psi);
-    else
-      apply_op_batched(op, params, psi);
-  }
+  for (const Op& op : circuit.ops()) apply_op_batched(op, params, psi);
 }
 
 }  // namespace qugeo::qsim

@@ -4,8 +4,7 @@
 //
 // Equivalence contract: running a circuit batched gives bit-identical
 // amplitudes (scalar mode) to running it on each lane's StateVector with
-// run_circuit — pinned per GateKind (fused kinds included) by
-// test_qsim_batched.
+// run_circuit — pinned per GateKind by test_qsim_batched.
 #pragma once
 
 #include <span>
@@ -16,8 +15,7 @@
 namespace qugeo::qsim {
 
 /// Run the circuit forward on every lane of `psi` (in place). Handles the
-/// full GateKind set, including the optimizer's fused kinds (their Mat4
-/// lives in the circuit's side table).
+/// full GateKind set.
 void run_circuit_batched(const Circuit& circuit, std::span<const Real> params,
                          BatchedStateVector& psi);
 

@@ -211,51 +211,6 @@ void BatchedStateVector::apply_antidiag_1q(Complex a01, Complex a10, Index q) {
   }
 }
 
-void BatchedStateVector::apply_matrix2q(const Mat4& u, Index q0, Index q1) {
-  assert(q0 < num_qubits_ && q1 < num_qubits_ && q0 != q1);
-  const Index m0 = Index{1} << q0;
-  const Index m1 = Index{1} << q1;
-  const Index mlo = q0 < q1 ? m0 : m1;
-  const Index mhi = q0 < q1 ? m1 : m0;
-  // Deinterleave the 16 matrix entries once; inside the lane loop they are
-  // plain loop-invariant scalars.
-  Real ur[16], ui[16];
-  for (int e = 0; e < 16; ++e) {
-    ur[e] = u.m[static_cast<std::size_t>(e)].real();
-    ui[e] = u.m[static_cast<std::size_t>(e)].imag();
-  }
-  Real* re = re_.data();
-  Real* im = im_.data();
-  for (Index base = 0; base < dim_; base += 2 * mhi) {
-    for (Index mid = base; mid < base + mhi; mid += 2 * mlo) {
-      for (Index i0 = mid; i0 < mid + mlo; ++i0) {
-        const Index i1 = i0 | m0;
-        const Index i2 = i0 | m1;
-        const Index i3 = i1 | m1;
-        Real* const rp[4] = {re + i0 * lanes_, re + i1 * lanes_,
-                             re + i2 * lanes_, re + i3 * lanes_};
-        Real* const mp[4] = {im + i0 * lanes_, im + i1 * lanes_,
-                             im + i2 * lanes_, im + i3 * lanes_};
-        for (std::size_t l = 0; l < lanes_; ++l) {
-          const Real ar[4] = {rp[0][l], rp[1][l], rp[2][l], rp[3][l]};
-          const Real ai[4] = {mp[0][l], mp[1][l], mp[2][l], mp[3][l]};
-          for (int r = 0; r < 4; ++r) {
-            const int e = r * 4;
-            rp[r][l] = (ur[e] * ar[0] - ui[e] * ai[0]) +
-                       (ur[e + 1] * ar[1] - ui[e + 1] * ai[1]) +
-                       (ur[e + 2] * ar[2] - ui[e + 2] * ai[2]) +
-                       (ur[e + 3] * ar[3] - ui[e + 3] * ai[3]);
-            mp[r][l] = (ur[e] * ai[0] + ui[e] * ar[0]) +
-                       (ur[e + 1] * ai[1] + ui[e + 1] * ar[1]) +
-                       (ur[e + 2] * ai[2] + ui[e + 2] * ar[2]) +
-                       (ur[e + 3] * ai[3] + ui[e + 3] * ar[3]);
-          }
-        }
-      }
-    }
-  }
-}
-
 namespace {
 
 /// Shared 2x2 pair update over one (i0, i1) amplitude pair, all lanes —
@@ -275,50 +230,6 @@ inline void pair_update_lanes(Real* r0, Real* m0, Real* r1, Real* m1,
 }
 
 }  // namespace
-
-void BatchedStateVector::apply_block_diag_2q(const Mat2& u0, const Mat2& u1,
-                                             Index control, Index target) {
-  assert(control < num_qubits_ && target < num_qubits_ && control != target);
-  const Index mc = Index{1} << control;
-  const Index mt = Index{1} << target;
-  Real* re = re_.data();
-  Real* im = im_.data();
-  for (int v = 0; v < 2; ++v) {
-    const Mat2& u = v ? u1 : u0;
-    if (u(0, 1) == Complex{0, 0} && u(1, 0) == Complex{0, 0} &&
-        u(0, 0) == kOne && u(1, 1) == kOne)
-      continue;  // identity block: half-space untouched
-    const Real w00r = u(0, 0).real(), w00i = u(0, 0).imag();
-    const Real w01r = u(0, 1).real(), w01i = u(0, 1).imag();
-    const Real w10r = u(1, 0).real(), w10i = u(1, 0).imag();
-    const Real w11r = u(1, 1).real(), w11i = u(1, 1).imag();
-    const Index voff = v ? mc : 0;
-    if (control > target) {
-      for (Index base = 0; base < dim_; base += 2 * mc) {
-        const Index h0 = base + voff;
-        for (Index mid = h0; mid < h0 + mc; mid += 2 * mt) {
-          for (Index i0 = mid; i0 < mid + mt; ++i0) {
-            const Index i1 = i0 + mt;
-            pair_update_lanes(re + i0 * lanes_, im + i0 * lanes_,
-                              re + i1 * lanes_, im + i1 * lanes_, lanes_,
-                              w00r, w00i, w01r, w01i, w10r, w10i, w11r, w11i);
-          }
-        }
-      }
-    } else {
-      for (Index base = 0; base < dim_; base += 2 * mt) {
-        for (Index coff = base + voff; coff < base + mt; coff += 2 * mc) {
-          for (Index i0 = coff; i0 < coff + mc; ++i0) {
-            const Index i1 = i0 + mt;
-            pair_update_lanes(re + i0 * lanes_, im + i0 * lanes_,
-                              re + i1 * lanes_, im + i1 * lanes_, lanes_,
-                              w00r, w00i, w01r, w01i, w10r, w10i, w11r, w11i);
-          }
-        }
-      }
-    }
-  }
-}
 
 void BatchedStateVector::apply_controlled_1q(const Mat2& u, Index control,
                                              Index target) {

@@ -66,9 +66,6 @@ class BatchedStateVector {
   void apply_1q(const Mat2& u, Index q);
   void apply_diag_1q(Complex d0, Complex d1, Index q);
   void apply_antidiag_1q(Complex a01, Complex a10, Index q);
-  void apply_matrix2q(const Mat4& u, Index q0, Index q1);
-  void apply_block_diag_2q(const Mat2& u0, const Mat2& u1, Index control,
-                           Index target);
   void apply_controlled_1q(const Mat2& u, Index control, Index target);
   void apply_controlled_diag_1q(Complex d0, Complex d1, Index control,
                                 Index target);

@@ -10,6 +10,13 @@ void Circuit::check_qubit(Index q) const {
     throw std::out_of_range("Circuit: qubit index out of range");
 }
 
+void Circuit::check_param_slots(ParamRef p, std::uint32_t count) const {
+  // Subtract rather than add: p.id + count - 1 wraps for ids near the
+  // kLiteralParam sentinel.
+  if (p.id >= num_params_ || num_params_ - p.id < count)
+    throw std::out_of_range("Circuit: unallocated parameter reference");
+}
+
 void Circuit::push1(GateKind kind, Index q) {
   check_qubit(q);
   Op op;
@@ -39,8 +46,7 @@ void Circuit::push_rot(GateKind kind, Index q, Real angle) {
 
 void Circuit::push_rot(GateKind kind, Index q, ParamRef p) {
   check_qubit(q);
-  if (p.id >= num_params_)
-    throw std::out_of_range("Circuit: unallocated parameter reference");
+  check_param_slots(p, 1);
   Op op;
   op.kind = kind;
   op.qubits = {q, 0};
@@ -59,8 +65,7 @@ void Circuit::u3(Index q, Real theta, Real phi, Real lambda) {
 
 void Circuit::u3(Index q, ParamRef p) {
   check_qubit(q);
-  if (p.id + 2 >= num_params_)
-    throw std::out_of_range("Circuit: u3 needs three allocated slots");
+  check_param_slots(p, 3);
   Op op;
   op.kind = GateKind::kU3;
   op.qubits = {q, 0};
@@ -74,8 +79,7 @@ void Circuit::cry(Index control, Index target, Real angle) {
 }
 
 void Circuit::cry(Index control, Index target, ParamRef p) {
-  if (p.id >= num_params_)
-    throw std::out_of_range("Circuit: unallocated parameter reference");
+  check_param_slots(p, 1);
   push2(GateKind::kCRY, control, target);
   ops_.back().param_ids[0] = p.id;
 }
@@ -86,50 +90,19 @@ void Circuit::cu3(Index control, Index target, Real theta, Real phi, Real lambda
 }
 
 void Circuit::cu3(Index control, Index target, ParamRef p) {
-  if (p.id + 2 >= num_params_)
-    throw std::out_of_range("Circuit: cu3 needs three allocated slots");
+  check_param_slots(p, 3);
   push2(GateKind::kCU3, control, target);
   ops_.back().param_ids = {p.id, p.id + 1, p.id + 2};
-}
-
-void Circuit::fused2q(Index a, Index b, const Mat4& u) {
-  push2(GateKind::kFused2Q, a, b);
-  ops_.back().matrix_id = static_cast<std::uint32_t>(mats_.size());
-  mats_.push_back(u);
-}
-
-void Circuit::fused_ctl2q(Index control, Index target, const Mat4& u) {
-  // Control-mixing entries (sub-index bit 0 = control) must be exactly
-  // zero: the dual kernel never reads them.
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c)
-      if ((r & 1) != (c & 1) && u(r, c) != Complex{0, 0})
-        throw std::invalid_argument(
-            "Circuit::fused_ctl2q: matrix mixes control values");
-  push2(GateKind::kFusedCtl2Q, control, target);
-  ops_.back().matrix_id = static_cast<std::uint32_t>(mats_.size());
-  mats_.push_back(u);
-}
-
-const Mat4& Circuit::matrix(const Op& op) const {
-  if (op.kind != GateKind::kFused2Q && op.kind != GateKind::kFusedCtl2Q)
-    throw std::invalid_argument("Circuit::matrix: op carries no dense matrix");
-  if (op.matrix_id >= mats_.size())
-    throw std::out_of_range("Circuit::matrix: dangling matrix_id");
-  return mats_[op.matrix_id];
 }
 
 std::uint32_t Circuit::append(const Circuit& other) {
   if (other.num_qubits() > num_qubits_)
     throw std::invalid_argument("Circuit::append: operand has more qubits");
   const std::uint32_t offset = num_params_;
-  const auto mat_offset = static_cast<std::uint32_t>(mats_.size());
   num_params_ += other.num_params_;
-  mats_.insert(mats_.end(), other.mats_.begin(), other.mats_.end());
   for (Op op : other.ops_) {
     for (auto& id : op.param_ids)
       if (id != kLiteralParam) id += offset;
-    if (op.matrix_id != kNoMatrix) op.matrix_id += mat_offset;
     ops_.push_back(op);
   }
   return offset;

@@ -10,7 +10,7 @@ namespace {
 
 bool same_op(const Op& a, const Op& b) {
   return a.kind == b.kind && a.qubits == b.qubits && a.param_ids == b.param_ids &&
-         a.literals == b.literals && a.matrix_id == b.matrix_id;
+         a.literals == b.literals;
 }
 
 }  // namespace
@@ -21,7 +21,6 @@ CompiledCircuitCache::StructuralKey CompiledCircuitCache::key_of(
   key.num_qubits = circuit.num_qubits();
   key.num_params = static_cast<std::uint32_t>(circuit.num_params());
   key.ops.assign(circuit.ops().begin(), circuit.ops().end());
-  key.mats.assign(circuit.matrices().begin(), circuit.matrices().end());
   return key;
 }
 
@@ -31,14 +30,8 @@ bool CompiledCircuitCache::matches(const StructuralKey& key,
       key.num_params != circuit.num_params() ||
       key.ops.size() != circuit.num_ops())
     return false;
-  const auto ops = circuit.ops();
-  for (std::size_t i = 0; i < key.ops.size(); ++i)
-    if (!same_op(key.ops[i], ops[i])) return false;
-  const auto mats = circuit.matrices();
-  if (key.mats.size() != mats.size()) return false;
-  for (std::size_t i = 0; i < key.mats.size(); ++i)
-    if (key.mats[i].m != mats[i].m) return false;
-  return true;
+  return std::equal(key.ops.begin(), key.ops.end(), circuit.ops().begin(),
+                    same_op);
 }
 
 std::shared_ptr<const Circuit> CompiledCircuitCache::canonical(
@@ -56,7 +49,7 @@ std::shared_ptr<const Circuit> CompiledCircuitCache::canonical(
   Entry entry;
   entry.backend = backend;
   entry.key = key_of(circuit);
-  if (has_fusable_runs(circuit) || has_fusable_two_qubit_runs(circuit))
+  if (has_fusable_runs(circuit))
     entry.compiled =
         std::make_shared<const Circuit>(canonicalize_for_backend(circuit));
   // else: identity — a null compiled pointer tells callers to run the

@@ -2,7 +2,7 @@
 //
 // QuGeoModel::predict fans QuBatch chunks across the thread pool, and every
 // chunk constructs a fresh backend that would otherwise re-probe (and, for
-// fusable circuits, re-fuse) the same ansatz. A CompiledCircuitCache —
+// fusable circuits, re-fuse) the same circuit. A CompiledCircuitCache —
 // shared through ExecutionConfig::compile_cache — runs the canonicalization
 // exactly once per distinct (circuit structure, backend kind) and hands
 // every later execution the cached form. compile_count()/hit_count() are
@@ -33,7 +33,7 @@ class GradientPlan;
 /// \par Cache-key semantics
 /// Entries are keyed by the EXACT circuit structure — qubit count,
 /// parameter-table size, and the full op stream (kind, operands, parameter
-/// ids, literal angles, dense-matrix payloads) — plus the executing
+/// ids, literal angles) — plus the executing
 /// BackendKind. Structural equality, not pointer identity: two Circuit
 /// objects built the same way share one entry. Trainable parameter VALUES
 /// are deliberately absent from the key — fusion only touches literal
@@ -83,8 +83,7 @@ class CompiledCircuitCache {
   struct StructuralKey {
     Index num_qubits;
     std::uint32_t num_params;
-    std::vector<Op> ops;     // structural key (exact, collision-free)
-    std::vector<Mat4> mats;  // dense payloads referenced by the ops
+    std::vector<Op> ops;  // structural key (exact, collision-free)
   };
 
   struct Entry {

@@ -107,52 +107,6 @@ void DensityMatrix::apply_controlled_1q(const Mat2& u, Index control,
   }
 }
 
-void DensityMatrix::apply_2q(const Mat4& u, Index q0, Index q1) {
-  const Index m0 = Index{1} << q0;
-  const Index m1 = Index{1} << q1;
-  const Index lo = q0 < q1 ? q0 : q1;
-  const Index hi = q0 < q1 ? q1 : q0;
-  const Index quarter = dim_ / 4;
-  // Left multiply by U over row quadruples (per column), then right
-  // multiply by U^+ over column quadruples (per row) — the same two-pass
-  // structure as apply_1q, lifted to the 4-dim sub-basis.
-  for (Index col = 0; col < dim_; ++col) {
-    for (Index j = 0; j < quarter; ++j) {
-      const Index r0 = insert_two_zero_bits(j, lo, hi);
-      const Index r1 = r0 | m0;
-      const Index r2 = r0 | m1;
-      const Index r3 = r1 | m1;
-      const Complex a0 = rho_[r0 * dim_ + col];
-      const Complex a1 = rho_[r1 * dim_ + col];
-      const Complex a2 = rho_[r2 * dim_ + col];
-      const Complex a3 = rho_[r3 * dim_ + col];
-      rho_[r0 * dim_ + col] = u(0, 0) * a0 + u(0, 1) * a1 + u(0, 2) * a2 + u(0, 3) * a3;
-      rho_[r1 * dim_ + col] = u(1, 0) * a0 + u(1, 1) * a1 + u(1, 2) * a2 + u(1, 3) * a3;
-      rho_[r2 * dim_ + col] = u(2, 0) * a0 + u(2, 1) * a1 + u(2, 2) * a2 + u(2, 3) * a3;
-      rho_[r3 * dim_ + col] = u(3, 0) * a0 + u(3, 1) * a1 + u(3, 2) * a2 + u(3, 3) * a3;
-    }
-  }
-  const Mat4 ud = dagger(u);
-  for (Index row = 0; row < dim_; ++row) {
-    Complex* r = rho_.data() + row * dim_;
-    for (Index j = 0; j < quarter; ++j) {
-      const Index c0 = insert_two_zero_bits(j, lo, hi);
-      const Index c1 = c0 | m0;
-      const Index c2 = c0 | m1;
-      const Index c3 = c1 | m1;
-      const Complex a0 = r[c0];
-      const Complex a1 = r[c1];
-      const Complex a2 = r[c2];
-      const Complex a3 = r[c3];
-      // (rho U^+)_{.,c} = sum_k rho_{.,k} (U^+)_{k,c}
-      r[c0] = a0 * ud(0, 0) + a1 * ud(1, 0) + a2 * ud(2, 0) + a3 * ud(3, 0);
-      r[c1] = a0 * ud(0, 1) + a1 * ud(1, 1) + a2 * ud(2, 1) + a3 * ud(3, 1);
-      r[c2] = a0 * ud(0, 2) + a1 * ud(1, 2) + a2 * ud(2, 2) + a3 * ud(3, 2);
-      r[c3] = a0 * ud(0, 3) + a1 * ud(1, 3) + a2 * ud(2, 3) + a3 * ud(3, 3);
-    }
-  }
-}
-
 void DensityMatrix::apply_swap(Index a, Index b) {
   if (a == b) return;
   const Index ma = Index{1} << a, mb = Index{1} << b;
@@ -288,14 +242,6 @@ void run_circuit_density(const Circuit& circuit, std::span<const Real> params,
     switch (op.kind) {
       case GateKind::kSWAP:
         rho.apply_swap(op.qubits[0], op.qubits[1]);
-        break;
-      case GateKind::kFused2Q:
-      case GateKind::kFusedCtl2Q:
-        // Only reachable on the noiseless / readout-only path (fusion is
-        // illegal under gate noise — see optimizer.h legality rules). The
-        // block-diagonal kind runs through the dense conjugation too: the
-        // density path is not the perf-critical one.
-        rho.apply_2q(circuit.matrix(op), op.qubits[0], op.qubits[1]);
         break;
       case GateKind::kCX:
       case GateKind::kCZ:

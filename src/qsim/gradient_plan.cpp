@@ -15,11 +15,8 @@ GradientPlanStats count_stats(const Circuit& source, const Circuit& plan) {
   GradientPlanStats s;
   s.source_ops = source.num_ops();
   s.plan_ops = plan.num_ops();
-  for (const Op& op : plan.ops()) {
+  for (const Op& op : plan.ops())
     if (op_is_trainable(op)) ++s.trainable_ops;
-    if (op.kind == GateKind::kFused2Q || op.kind == GateKind::kFusedCtl2Q)
-      ++s.fused_ops;
-  }
   return s;
 }
 
@@ -29,10 +26,10 @@ GradientPlan GradientPlan::build(const Circuit& circuit) {
   GradientPlan plan;
   // Trainable ops end fusion runs on every qubit they touch (optimizer.h),
   // so the forward canonicalization of the TRAINABLE circuit is exactly the
-  // trainable-slot partition with each literal segment fused; parameter ids
-  // survive verbatim. adjoint_backward already rewinds fused kinds on both
-  // sweeps, so no executor change is needed beyond running this form.
-  if (has_fusable_runs(circuit) || has_fusable_two_qubit_runs(circuit)) {
+  // trainable-slot partition with each literal 1q run fused; parameter ids
+  // survive verbatim, and the fused runs are plain U3/Phase ops that
+  // adjoint_backward rewinds like any literal gate.
+  if (has_fusable_runs(circuit)) {
     plan.fused_ =
         std::make_shared<const Circuit>(canonicalize_for_backend(circuit));
     plan.stats_ = count_stats(circuit, *plan.fused_);

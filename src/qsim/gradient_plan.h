@@ -5,15 +5,15 @@
 // op — but only the TRAINABLE slots contribute a
 // 2 Re <lambda|dU/dtheta|psi> contraction. Every literal gate between two
 // consecutive trainable slots is pure replay work, so the plan partitions
-// the circuit at its trainable slots and collapses each literal segment
-// with the existing fusion passes (optimizer.h: fuse_gate_runs /
-// fuse_two_qubit_runs — trainable ops end runs on every qubit they touch,
-// so canonicalize_for_backend of a trainable circuit IS exactly this
-// partition): deep frozen prefixes/suffixes become a handful of
-// kFused2Q/kFusedCtl2Q/merged-1q applications on both sweeps, while the
-// trainable ops survive verbatim with their parameter ids intact.
+// the circuit at its trainable slots and collapses each literal 1q run
+// with the single-qubit fusion pass (optimizer.h: fuse_gate_runs —
+// trainable ops end runs on every qubit they touch, so
+// canonicalize_for_backend of a trainable circuit IS exactly this
+// partition): each run becomes one U3 or Phase application on both sweeps,
+// while the trainable ops survive verbatim with their parameter ids intact.
+// On the all-trainable QuGeoVQC ansatz the plan is the identity.
 //
-// Correctness: each fused segment equals its source run up to a global
+// Correctness: each fused run equals its source run up to a global
 // phase (<= 1e-10, optimizer.h legality rules). Running BOTH the |psi>
 // replay and the <lambda| sweep through the same plan puts the same phase
 // on both states, and it cancels in the 2 Re <lambda|dU|psi> contraction —
@@ -38,7 +38,6 @@ struct GradientPlanStats {
   std::size_t source_ops = 0;     ///< ops in the original circuit
   std::size_t plan_ops = 0;       ///< ops in the execution form
   std::size_t trainable_ops = 0;  ///< ops carrying >= 1 trainable slot
-  std::size_t fused_ops = 0;      ///< kFused2Q/kFusedCtl2Q ops in the plan
 };
 
 /// An immutable, shareable gradient execution plan. `fused()` is false for
@@ -48,7 +47,7 @@ struct GradientPlanStats {
 class GradientPlan {
  public:
   /// Partition + fuse `circuit` (see header comment). Cheap for
-  /// unfusable circuits: two O(ops) probes, no copy.
+  /// unfusable circuits: one O(ops) probe, no copy.
   [[nodiscard]] static GradientPlan build(const Circuit& circuit);
 
   /// The circuit both adjoint sweeps should execute: the fused form when

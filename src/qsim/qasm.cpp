@@ -162,10 +162,6 @@ void append_parsed(Circuit& c, const ParsedOp& op) {
     case GateKind::kCRY: c.cry(q0, q1, a[0]); break;
     case GateKind::kCU3: c.cu3(q0, q1, a[0], a[1], a[2]); break;
     case GateKind::kSWAP: c.swap(q0, q1); break;
-    case GateKind::kFused2Q:
-    case GateKind::kFusedCtl2Q:
-      // Unreachable: kind_from_name only resolves mnemonics up to kSWAP.
-      throw std::invalid_argument("from_qasm: fused ops have no QASM form");
   }
 }
 
@@ -179,10 +175,6 @@ std::string to_qasm(const Circuit& circuit, std::span<const Real> params) {
   emit_preamble_defs(os, circuit);
   os << "qreg q[" << circuit.num_qubits() << "];\n";
   for (const Op& op : circuit.ops()) {
-    if (op.kind == GateKind::kFused2Q || op.kind == GateKind::kFusedCtl2Q)
-      throw std::invalid_argument(
-          "to_qasm: fused ops are execution-internal and have no QASM form; "
-          "export the circuit before canonicalize_for_backend");
     const auto vals = Circuit::resolve_params(op, params);
     const auto name = gate_name(op.kind);
     const int nparams = gate_param_count(op.kind);
@@ -224,6 +216,9 @@ Circuit from_qasm(std::string_view text) {
       // knows natively; skip the body.
       cur.skip_past('}');
     } else if (word == "qreg") {
+      // One register only: a second would silently re-point every parsed
+      // operand at the new register.
+      if (!reg_name.empty()) cur.fail("only one qreg is supported");
       reg_name = std::string(cur.ident());
       cur.expect('[');
       reg_size = cur.cardinal();

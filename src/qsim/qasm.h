@@ -24,7 +24,8 @@ namespace qugeo::qsim {
 /// Parse the dialect to_qasm emits (qelib1 gate set + the preamble-defined
 /// `p` and `cry`) back into a Circuit. All angles become literal constants;
 /// `id` ops vanish (they have no builder and no effect). Throws
-/// std::invalid_argument on malformed input or unsupported statements.
+/// std::invalid_argument on malformed input or unsupported statements,
+/// including a second `qreg`.
 [[nodiscard]] Circuit from_qasm(std::string_view text);
 
 }  // namespace qugeo::qsim

@@ -33,21 +33,6 @@ void apply_1q_avx2(Complex* amps, Index n, const Mat2& u, Index q);
 void apply_controlled_1q_avx2(Complex* amps, Index n, const Mat2& u,
                               Index control, Index target);
 
-/// AVX2 twin of StateVector::apply_matrix2q (the dense 4x4 kernel — the
-/// largest-headroom hot kernel, per BENCH_micro.json).
-void apply_matrix2q_avx2(Complex* amps, Index n, const Mat4& u, Index q0,
-                         Index q1);
-
-/// AVX2 twin of StateVector::apply_block_diag_2q — the kFusedCtl2Q
-/// executor. Without it the fused path would bottleneck on a scalar
-/// kernel while the unfused 1q/controlled stream runs vectorized, and
-/// fusion would LOSE under AVX2 dispatch (the bench_micro_fusion guard).
-/// Identity blocks are skipped exactly like the scalar twin; the
-/// control==0 half-spaces (stride-2 singles) run the scalar formulas
-/// inside this TU.
-void apply_block_diag_2q_avx2(Complex* amps, Index n, const Mat2& u0,
-                              const Mat2& u1, Index control, Index target);
-
 /// AVX2 twin of adjoint_sweep_1q (statevector.h): rewinds `psi` and
 /// `lambda` by `ud` and returns their pair correlation G, in one pass with
 /// two pairs per __m256d and eight FMAs per step into lane accumulators.

@@ -48,21 +48,6 @@ class StateVector {
   /// swap; a01 == a10 == 1 degenerates to std::swap per pair, i.e. X).
   void apply_antidiag_1q(Complex a01, Complex a10, Index q);
 
-  /// Apply a dense 4x4 unitary (or any 4x4 linear map) to the qubit pair
-  /// (q0, q1). The 2-bit sub-index of `u` uses bit 0 = q0, bit 1 = q1 —
-  /// the same convention as Circuit::fused2q. One pass over the state, 16
-  /// complex multiplies per amplitude quadruple; the execution substrate of
-  /// the optimizer's two-qubit run fusion.
-  void apply_matrix2q(const Mat4& u, Index q0, Index q1);
-
-  /// Fast path for block-diagonal two-qubit unitaries: apply `u0` to
-  /// `target` where control=|0> and `u1` where control=|1>. Two half-space
-  /// sweeps with apply_1q's access pattern — roughly 2x the throughput of
-  /// the dense apply_matrix2q, and the kernel behind kFusedCtl2Q (the form
-  /// the optimizer's two-qubit fusion emits for CU3-style runs).
-  void apply_block_diag_2q(const Mat2& u0, const Mat2& u1, Index control,
-                           Index target);
-
   /// Apply a 2x2 map to `target` on the control=|1> subspace only.
   void apply_controlled_1q(const Mat2& u, Index control, Index target);
 

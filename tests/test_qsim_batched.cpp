@@ -17,7 +17,6 @@
 #include "qsim/batched_executor.h"
 #include "qsim/batched_statevector.h"
 #include "qsim/executor.h"
-#include "qsim/optimizer.h"
 
 namespace qugeo::qsim {
 namespace {
@@ -97,9 +96,9 @@ Circuit one_op_circuit(GateKind kind, Index num_qubits, Rng& rng) {
   return c;
 }
 
-/// The paper's U3+CU3 ansatz with frozen literal angles — the form whose
-/// canonicalization emits kFused2Q / kFusedCtl2Q ops.
-Circuit frozen_test_circuit(Index qubits, Rng& rng) {
+/// The paper's U3+CU3 ansatz layer with literal angles, plus a SWAP and a
+/// CX so every operand orientation is exercised.
+Circuit literal_test_circuit(Index qubits, Rng& rng) {
   Circuit c(qubits);
   for (Index q = 0; q < qubits; ++q)
     c.u3(q, rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2));
@@ -135,38 +134,11 @@ TEST(BatchedExecutor, EveryGateKindMatchesLoopedBitExact) {
   }
 }
 
-TEST(BatchedExecutor, FusedKindsMatchLoopedBitExact) {
-  const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
-  Rng rng(42);
-  const Index nq = 5;
-  const std::size_t lanes = 4;
-  const Circuit fused = canonicalize_for_backend(frozen_test_circuit(nq, rng));
-  bool has_fused2q = false, has_fused_ctl = false;
-  for (const Op& op : fused.ops()) {
-    has_fused2q |= op.kind == GateKind::kFused2Q;
-    has_fused_ctl |= op.kind == GateKind::kFusedCtl2Q;
-  }
-  ASSERT_TRUE(has_fused2q) << "canonicalization emitted no kFused2Q op";
-  ASSERT_TRUE(has_fused_ctl) << "canonicalization emitted no kFusedCtl2Q op";
-
-  BatchedStateVector batch(nq, lanes);
-  std::vector<StateVector> looped;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const auto amps = random_amplitudes(Index{1} << nq, rng);
-    batch.set_lane(l, amps);
-    looped.emplace_back(nq);
-    looped.back().set_amplitudes(amps);
-  }
-  run_circuit_batched(fused, {}, batch);
-  for (auto& psi : looped) run_circuit(fused, {}, psi);
-  expect_lanes_bitwise(batch, looped, "fused circuit");
-}
-
 TEST(BatchedExecutor, BatchSizeOneDegeneracy) {
   const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
   Rng rng(43);
   const Index nq = 6;
-  const Circuit c = frozen_test_circuit(nq, rng);
+  const Circuit c = literal_test_circuit(nq, rng);
   const auto amps = random_amplitudes(Index{1} << nq, rng);
   BatchedStateVector batch(nq, 1);
   batch.set_lane(0, amps);
@@ -184,7 +156,7 @@ TEST(BatchedExecutor, Avx2MatchesLoopedWithinTolerance) {
   Rng rng(44);
   const Index nq = 5;
   const std::size_t lanes = 6;
-  const Circuit c = frozen_test_circuit(nq, rng);
+  const Circuit c = literal_test_circuit(nq, rng);
   BatchedStateVector batch(nq, lanes);
   std::vector<StateVector> looped;
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -209,7 +181,7 @@ TEST(BatchedExecutor, Avx2MatchesLoopedWithinTolerance) {
 TEST(BatchedBackend, StatevectorOverrideMatchesBaseLoop) {
   const Index nq = 5;
   Rng rng(47);
-  const Circuit c = frozen_test_circuit(nq, rng);
+  const Circuit c = literal_test_circuit(nq, rng);
 
   std::vector<StateVector> states;
   for (int i = 0; i < 3; ++i) {
@@ -273,7 +245,7 @@ TEST(BatchedBackend, ShotWrapAppliesOutsideBatchKnob) {
   // the sampled distribution is unaffected by the inner batch width.
   Rng rng(51);
   const Index nq = 4;
-  const Circuit c = frozen_test_circuit(nq, rng);
+  const Circuit c = literal_test_circuit(nq, rng);
   ExecutionConfig cfg;
   cfg.shots = 2048;
   cfg.seed = 7;

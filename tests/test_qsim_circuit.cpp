@@ -35,6 +35,21 @@ TEST(Circuit, RejectsUnallocatedParamRef) {
   EXPECT_THROW(c.u3(0, ParamRef{0}), std::out_of_range);
 }
 
+TEST(Circuit, RejectsThreeSlotRefsPastTheTable) {
+  // The slot check must not wrap: ids near the kLiteralParam sentinel
+  // would otherwise pass and alias slot 0 (or a literal).
+  Circuit c(2);
+  (void)c.new_params(3);
+  EXPECT_THROW(c.u3(0, ParamRef{}), std::out_of_range);
+  EXPECT_THROW(c.cu3(0, 1, ParamRef{0xfffffffeu}), std::out_of_range);
+  EXPECT_THROW(c.u3(0, ParamRef{1}), std::out_of_range);
+  EXPECT_THROW(c.cu3(0, 1, ParamRef{1}), std::out_of_range);
+  EXPECT_EQ(c.num_ops(), 0u);
+  c.u3(0, ParamRef{0});
+  c.cu3(0, 1, ParamRef{0});
+  EXPECT_EQ(c.num_ops(), 2u);
+}
+
 TEST(Circuit, U3ConsumesThreeSlots) {
   Circuit c(1);
   const ParamRef p = c.new_params(3);

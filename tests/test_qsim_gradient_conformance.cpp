@@ -51,8 +51,9 @@ StateVector random_state(Index num_qubits, Rng& rng) {
   return psi;
 }
 
-/// A literal run on a guaranteed-fusable pattern plus random filler gates
-/// (1q and 2q, both operand orders), never touching the parameter table.
+/// A literal run on a guaranteed-fusable 1q pattern plus random filler
+/// gates (1q and 2q, both operand orders), never touching the parameter
+/// table.
 void add_literal_run(Circuit& c, Rng& rng, std::size_t len) {
   const Index nq = c.num_qubits();
   const auto q1 = [&] { return static_cast<Index>(rng.uniform_int(0, nq - 1)); };
@@ -274,7 +275,6 @@ TEST(GradientConformance, PlanIsIdentityForAllTrainableCircuits) {
   EXPECT_FALSE(plan.fused());
   EXPECT_EQ(&plan.execution_form(c), &c);
   EXPECT_EQ(plan.stats().plan_ops, plan.stats().source_ops);
-  EXPECT_EQ(plan.stats().fused_ops, 0u);
 }
 
 TEST(GradientConformance, AdjointMatchesCentralFiniteDifference) {

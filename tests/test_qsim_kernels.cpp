@@ -306,38 +306,6 @@ void formula_apply_1q(std::vector<Complex>& amps, const Mat2& u, Index q) {
   }
 }
 
-/// The exact scalar apply_matrix2q formula (pair order and left-to-right
-/// four-term sums) from statevector.cpp, re-derived.
-void formula_apply_matrix2q(std::vector<Complex>& amps, const Mat4& u,
-                            Index q0, Index q1) {
-  const Index m0 = Index{1} << q0;
-  const Index m1 = Index{1} << q1;
-  const Index mlo = q0 < q1 ? m0 : m1;
-  const Index mhi = q0 < q1 ? m1 : m0;
-  const std::array<Complex, 16> um = u.m;
-  for (Index base = 0; base < amps.size(); base += 2 * mhi) {
-    for (Index mid = base; mid < base + mhi; mid += 2 * mlo) {
-      for (Index i0 = mid; i0 < mid + mlo; ++i0) {
-        const Index i1 = i0 | m0;
-        const Index i2 = i0 | m1;
-        const Index i3 = i1 | m1;
-        const Complex a0 = amps[i0];
-        const Complex a1 = amps[i1];
-        const Complex a2 = amps[i2];
-        const Complex a3 = amps[i3];
-        amps[i0] = cmul(um[0], a0) + cmul(um[1], a1) + cmul(um[2], a2) +
-                   cmul(um[3], a3);
-        amps[i1] = cmul(um[4], a0) + cmul(um[5], a1) + cmul(um[6], a2) +
-                   cmul(um[7], a3);
-        amps[i2] = cmul(um[8], a0) + cmul(um[9], a1) + cmul(um[10], a2) +
-                   cmul(um[11], a3);
-        amps[i3] = cmul(um[12], a0) + cmul(um[13], a1) + cmul(um[14], a2) +
-                   cmul(um[15], a3);
-      }
-    }
-  }
-}
-
 void expect_amps_bitwise(std::span<const Complex> got,
                          std::span<const Complex> want, const char* what) {
   ASSERT_EQ(got.size(), want.size());
@@ -349,16 +317,6 @@ void expect_amps_bitwise(std::span<const Complex> got,
 
 Mat2 random_mat2(Rng& rng) {
   return u3_matrix(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3));
-}
-
-Mat4 random_mat4(Rng& rng) {
-  const Mat2 a = random_mat2(rng);
-  const Mat2 b = random_mat2(rng);
-  Mat4 m{};
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c)
-      m(r, c) = a(r / 2, c % 2) * b(r % 2, c / 2);
-  return m;
 }
 
 TEST(SimdEquivalence, ScalarModeIsBitExactReferenceFormula) {
@@ -378,16 +336,6 @@ TEST(SimdEquivalence, ScalarModeIsBitExactReferenceFormula) {
     auto want = amps;
     formula_apply_1q(want, u, q);
     expect_amps_bitwise(psi.amplitudes(), want, "scalar 1q");
-
-    const Mat4 u4 = random_mat4(rng);
-    const auto q1 = static_cast<Index>((q + 1 + rng.uniform_int(0, nq - 2)) %
-                                       static_cast<std::int64_t>(nq));
-    StateVector psi2(nq);
-    psi2.set_amplitudes(amps);
-    psi2.apply_matrix2q(u4, q, q1);
-    auto want2 = amps;
-    formula_apply_matrix2q(want2, u4, q, q1);
-    expect_amps_bitwise(psi2.amplitudes(), want2, "scalar dense 2q");
   }
 }
 
@@ -422,54 +370,6 @@ TEST(SimdEquivalence, ApplyControlled1QAvx2MatchesScalar) {
       auto want = amps;
       ref_apply_controlled_1q(want, u, control, target);
       expect_amps_near(got, want, "apply_controlled_1q_avx2");
-    }
-}
-
-TEST(SimdEquivalence, ApplyMatrix2QAvx2MatchesScalar) {
-  if (!simd::cpu_supports_avx2())
-    GTEST_SKIP() << "AVX2+FMA not supported on this CPU";
-  Rng rng(34);
-  const Index nq = 6;
-  for (Index q0 = 0; q0 < nq; ++q0)
-    for (Index q1 = 0; q1 < nq; ++q1) {
-      if (q0 == q1) continue;
-      const auto amps = random_amplitudes(Index{1} << nq, rng);
-      const Mat4 u = random_mat4(rng);
-      auto got = amps;
-      apply_matrix2q_avx2(got.data(), got.size(), u, q0, q1);
-      auto want = amps;
-      formula_apply_matrix2q(want, u, q0, q1);
-      expect_amps_near(got, want, "apply_matrix2q_avx2");
-    }
-}
-
-TEST(SimdEquivalence, ApplyBlockDiag2QAvx2MatchesScalar) {
-  if (!simd::cpu_supports_avx2())
-    GTEST_SKIP() << "AVX2+FMA not supported on this CPU";
-  Rng rng(36);
-  const Index nq = 6;
-  for (Index control = 0; control < nq; ++control)
-    for (Index target = 0; target < nq; ++target) {
-      if (control == target) continue;
-      const auto amps = random_amplitudes(Index{1} << nq, rng);
-      // Random blocks, plus each identity-block skip path on its own.
-      const Mat2 identity = u3_matrix(0, 0, 0);
-      const std::array<std::pair<Mat2, Mat2>, 3> cases = {
-          std::pair<Mat2, Mat2>{random_mat2(rng), random_mat2(rng)},
-          std::pair<Mat2, Mat2>{identity, random_mat2(rng)},
-          std::pair<Mat2, Mat2>{random_mat2(rng), identity}};
-      for (const auto& [u0, u1] : cases) {
-        auto got = amps;
-        apply_block_diag_2q_avx2(got.data(), got.size(), u0, u1, control,
-                                 target);
-        StateVector want(nq);
-        {
-          const simd::ScopedSimdMode scoped(simd::SimdMode::kScalar);
-          want.set_amplitudes(amps);
-          want.apply_block_diag_2q(u0, u1, control, target);
-        }
-        expect_amps_near(got, want.amplitudes(), "apply_block_diag_2q_avx2");
-      }
     }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "qsim/executor.h"
 #include "qsim/qasm.h"
@@ -161,6 +162,17 @@ TEST(Qasm, ParserRejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)from_qasm("OPENQASM 2.0;\nqreg q[-2];\n"),
                std::invalid_argument);
+}
+
+TEST(Qasm, ParserRejectsASecondQreg) {
+  // A second register would re-point the parsed `x a[2]` at the new one.
+  try {
+    (void)from_qasm("OPENQASM 2.0;\nqreg a[3];\nx a[2];\nqreg b[4];\n");
+    FAIL() << "a second qreg was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

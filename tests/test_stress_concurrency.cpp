@@ -26,9 +26,9 @@ namespace {
 constexpr int kThreads = 8;
 constexpr int kItersPerThread = 200;
 
-/// Literal 1q runs + a repeated CX pair: fusable by both fuse_gate_runs
-/// and fuse_two_qubit_runs, so canonical() returns a non-null compiled
-/// circuit with strictly fewer ops. `spin` varies the literal angles so
+/// Literal 1q runs on qubits 0 and 2 around a CX pair: fuse_gate_runs
+/// collapses each run, so canonical() returns a non-null compiled circuit
+/// with strictly fewer ops. `spin` varies the literal angles so
 /// distinct values of it are distinct cache keys.
 Circuit fusable_circuit(int spin) {
   Circuit c(3);
